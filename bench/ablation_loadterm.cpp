@@ -58,13 +58,13 @@ int main(int argc, char** argv) {
 
     ms::core::MoreStressSimulator sim_corrected(setup.config);
     const double err_corrected =
-        ms::core::field_error(ref, sim_corrected.simulate_array(size, size).von_mises);
+        ms::core::field_error(ref, ms::bench::run_uniform_array(sim_corrected, size).von_mises);
 
     ms::core::SimulationConfig literal = setup.config;
     literal.local.uncorrected_eq19_load = true;
     ms::core::MoreStressSimulator sim_literal(literal);
     const double err_literal =
-        ms::core::field_error(ref, sim_literal.simulate_array(size, size).von_mises);
+        ms::core::field_error(ref, ms::bench::run_uniform_array(sim_literal, size).von_mises);
 
     table.add_row({ms::util::strf("%dx%d", size, size), ms::util::percent_cell(err_corrected),
                    ms::util::percent_cell(err_literal),

@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
     config.global.method = c.method;
     if (std::string(c.precond) != "-") config.global.precond = c.precond;
     ms::core::MoreStressSimulator simulator(config);
-    const ms::core::ArrayResult result = simulator.simulate_array(array, array);
+    const ms::core::ArrayResult result = ms::bench::run_uniform_array(simulator, array);
     if (std::string(c.method) == "direct") reference_field = result.von_mises;
     runs.emplace_back(c, result);
   }

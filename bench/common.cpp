@@ -4,6 +4,8 @@
 #include <stdexcept>
 
 #include "obs/obs_cli.hpp"
+#include "sweep/scenario_result.hpp"
+#include "sweep/scenario_spec.hpp"
 #include "util/log.hpp"
 #include "util/memory.hpp"
 #include "util/timer.hpp"
@@ -51,6 +53,13 @@ void apply_common_flags(const util::CliParser& cli, BenchSetup& setup) {
   setup.run_reference = !cli.flag("no-reference");
 }
 
+core::ArrayResult run_uniform_array(core::MoreStressSimulator& simulator, int edge) {
+  sweep::ScenarioSpec spec;
+  spec.blocks_x = edge;
+  spec.blocks_y = edge;
+  return std::move(*simulator.simulate(spec).array);
+}
+
 ArrayCaseResult run_array_case(const BenchSetup& setup, core::MoreStressSimulator& simulator,
                                const baseline::SuperpositionModel& superposition, int array_edge) {
   ArrayCaseResult result;
@@ -58,7 +67,7 @@ ArrayCaseResult run_array_case(const BenchSetup& setup, core::MoreStressSimulato
 
   // --- MORE-Stress (global stage only, like the paper's reported time) ----
   (void)simulator.prepare_local_stage(false);
-  core::ArrayResult rom = simulator.simulate_array(array_edge, array_edge);
+  core::ArrayResult rom = run_uniform_array(simulator, array_edge);
   result.rom_seconds = rom.stats.global_seconds();
   result.rom_bytes = rom.stats.memory_bytes;
   result.local_stage_seconds = rom.stats.local_stage_seconds;

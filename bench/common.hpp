@@ -55,6 +55,10 @@ struct ArrayCaseResult {
   double local_stage_seconds = 0.0;
 };
 
+/// The paper's scenario-1 query through simulate(spec): an edge x edge
+/// standalone array under the uniform ΔT = config.thermal_load.
+core::ArrayResult run_uniform_array(core::MoreStressSimulator& simulator, int edge);
+
 /// Run one standalone-array case (paper scenario 1) with all three methods.
 /// `superposition` and `simulator` carry one-shot state across sizes.
 ArrayCaseResult run_array_case(const BenchSetup& setup, core::MoreStressSimulator& simulator,

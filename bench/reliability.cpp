@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "common.hpp"
@@ -18,6 +19,8 @@
 #include "obs/obs_cli.hpp"
 #include "obs/report.hpp"
 #include "reliability/rainflow.hpp"
+#include "sweep/scenario_result.hpp"
+#include "sweep/scenario_spec.hpp"
 #include "util/json.hpp"
 #include "util/timer.hpp"
 
@@ -53,11 +56,19 @@ int main(int argc, char** argv) {
   const ms::thermal::PowerTrace trace = ms::thermal::PowerTrace::square_wave(
       idle, active, period, 0.5, static_cast<int>(cli.get_int("pulse-cycles")));
 
+  ms::sweep::ScenarioSpec spec;
+  spec.analysis = ms::sweep::AnalysisKind::kFatigue;
+  spec.load = ms::sweep::LoadKind::kTrace;
+  spec.blocks_x = blocks;
+  spec.blocks_y = blocks;
+  spec.power_trace = std::make_shared<const ms::thermal::PowerTrace>(trace);
+
   ms::core::MoreStressSimulator sim(config);
   (void)sim.prepare_local_stage(/*with_dummy=*/false);
   ms::util::WallTimer timer;
   const ms::obs::RunReport before_case = ms::obs::RunReport::capture();
-  const ms::core::FatigueResult result = sim.simulate_array_fatigue(blocks, blocks, trace);
+  const ms::sweep::ScenarioResult scenario = sim.simulate(spec);
+  const ms::core::FatigueResult& result = *scenario.fatigue;
   const double fatigue_seconds = timer.seconds();
   const ms::obs::RunReport after_case = ms::obs::RunReport::capture();
 

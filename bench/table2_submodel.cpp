@@ -11,6 +11,8 @@
 #include "chiplet/submodel.hpp"
 #include "common.hpp"
 #include "obs/obs_cli.hpp"
+#include "sweep/scenario_result.hpp"
+#include "sweep/scenario_spec.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -100,8 +102,14 @@ int main(int argc, char** argv) {
       };
 
       // MORE-Stress.
-      const ms::core::ArrayResult rom =
-          simulator.simulate_submodel(array, array, rings, displacement);
+      ms::sweep::ScenarioSpec spec;
+      spec.kind = ms::sweep::ScenarioKind::kSubmodel;
+      spec.blocks_x = array;
+      spec.blocks_y = array;
+      spec.dummy_rings = rings;
+      spec.displacement = displacement;
+      const ms::sweep::ScenarioResult scenario = simulator.simulate(spec);
+      const ms::core::ArrayResult& rom = *scenario.array;
       r.rom_seconds = rom.stats.global_seconds();
       r.rom_bytes = rom.stats.memory_bytes;
 

@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
         case_setup.config.local.nodes_z = nodes;
     ms::core::MoreStressSimulator simulator(case_setup.config);
     const double local_seconds = simulator.prepare_local_stage(false);
-    const ms::core::ArrayResult result = simulator.simulate_array(array, array);
+    const ms::core::ArrayResult result = ms::bench::run_uniform_array(simulator, array);
     Row row{nodes, simulator.tsv_model().num_element_dofs(), local_seconds,
             result.stats.global_seconds(), 0.0};
     if (reference.has_value()) row.error = ms::core::field_error(*reference, result.von_mises);

@@ -25,11 +25,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "core/report.hpp"
 #include "core/simulator.hpp"
 #include "obs/obs_cli.hpp"
+#include "sweep/scenario_result.hpp"
+#include "sweep/scenario_spec.hpp"
 #include "reliability/rainflow.hpp"
 #include "util/cli.hpp"
 
@@ -72,8 +75,15 @@ int main(int argc, char** argv) {
   std::printf("fatigue cycling: %dx%d blocks, %d pulses of %.0f us, dt %.0f us\n\n", blocks,
               blocks, cycles, 1e6 * period, 1e6 * config.coupling.transient.time_step);
 
+  ms::sweep::ScenarioSpec spec;
+  spec.analysis = ms::sweep::AnalysisKind::kFatigue;
+  spec.load = ms::sweep::LoadKind::kTrace;
+  spec.blocks_x = blocks;
+  spec.blocks_y = blocks;
+  spec.power_trace = std::make_shared<const ms::thermal::PowerTrace>(trace);
   ms::core::MoreStressSimulator sim(config);
-  const ms::core::FatigueResult result = sim.simulate_array_fatigue(blocks, blocks, trace);
+  const ms::sweep::ScenarioResult scenario = sim.simulate(spec);
+  const ms::core::FatigueResult& result = *scenario.fatigue;
 
   std::printf("transient: %d steps; ROM panel: %d rhs on %d factorization(s), "
               "factor %.3f s + triangular %.3f s; channels %.3f s, rainflow+damage %.3f s\n\n",

@@ -11,6 +11,8 @@
 #include "core/report.hpp"
 #include "core/simulator.hpp"
 #include "obs/obs_cli.hpp"
+#include "sweep/scenario_result.hpp"
+#include "sweep/scenario_spec.hpp"
 #include "util/cli.hpp"
 #include "util/memory.hpp"
 #include "util/table.hpp"
@@ -42,7 +44,13 @@ int main(int argc, char** argv) {
               static_cast<int>(sim.tsv_model().fine_mesh_dofs),
               static_cast<int>(sim.tsv_model().num_element_dofs()));
 
-  ms::core::ArrayResult result = sim.simulate_array(blocks, blocks);
+  // Scenario 1: a blocks x blocks standalone array under the uniform
+  // ΔT = config.thermal_load (the ScenarioSpec defaults).
+  ms::sweep::ScenarioSpec spec;
+  spec.blocks_x = blocks;
+  spec.blocks_y = blocks;
+  const ms::sweep::ScenarioResult scenario = sim.simulate(spec);
+  const ms::core::ArrayResult& result = *scenario.array;
   double peak = 0.0;
   for (double v : result.von_mises) peak = std::max(peak, v);
   std::printf("global stage:          %.2f s (%d dofs, %d iterations)\n",

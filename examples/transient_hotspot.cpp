@@ -18,10 +18,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "core/simulator.hpp"
 #include "obs/obs_cli.hpp"
+#include "sweep/scenario_result.hpp"
+#include "sweep/scenario_spec.hpp"
 #include "util/cli.hpp"
 
 namespace {
@@ -102,9 +105,15 @@ int main(int argc, char** argv) {
               1e6 * config.coupling.transient.time_step,
               config.coupling.transient.scheme.c_str());
 
+  ms::sweep::ScenarioSpec spec;
+  spec.analysis = ms::sweep::AnalysisKind::kTransient;
+  spec.load = ms::sweep::LoadKind::kTrace;
+  spec.blocks_x = blocks;
+  spec.blocks_y = blocks;
+  spec.power_trace = std::make_shared<const ms::thermal::PowerTrace>(trace);
   ms::core::MoreStressSimulator sim(config);
-  const ms::core::ThermalTransientArrayResult result =
-      sim.simulate_array_thermal_transient(blocks, blocks, trace);
+  const ms::sweep::ScenarioResult scenario = sim.simulate(spec);
+  const ms::core::ThermalTransientArrayResult& result = *scenario.transient_array;
 
   std::printf("transient solve: %d dofs, %d steps; assemble %.3f s, factor %.3f s, "
               "stepping %.3f s\n",

@@ -1,5 +1,5 @@
 #pragma once
-// Result structs of every simulate_* scenario, split out of simulator.hpp
+// Result structs of every scenario kind, split out of simulator.hpp
 // so consumers that only carry results around (sweep::ScenarioResult, report
 // writers) need not pull in the simulator, the package model, or the solver
 // entry points.

@@ -1,18 +1,23 @@
 // MoreStressSimulator::simulate(const sweep::ScenarioSpec&) — the one
-// declarative entry point. Dispatches on kind/analysis/load to the exact
-// internals the legacy simulate_* shims use, so every query is bit-identical
-// to the corresponding positional call (asserted by tests/sweep).
+// scenario entry point. Each dimension of the spec is resolved once: the
+// kind into a Window (grid, mask, boundary data, report range, package),
+// the load into a power map or trace, and the analysis into one stage
+// sequence over the window — so the array and sub-model scenarios share
+// every transient, fatigue, and validation step.
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "chiplet/displacement_field.hpp"
 #include "core/simulator.hpp"
 #include "obs/metrics.hpp"
 #include "obs/query_scope.hpp"
+#include "obs/trace.hpp"
 #include "reliability/stress_history.hpp"
 #include "sweep/scenario_result.hpp"
 #include "sweep/scenario_spec.hpp"
+#include "util/log.hpp"
 #include "util/timer.hpp"
 
 namespace ms::core {
@@ -43,184 +48,203 @@ double max_shift_of(const sweep::ScenarioResult& result) {
   return shift;
 }
 
-struct ResolvedPackage {
-  std::shared_ptr<const chiplet::PackageModel> package;
-  chiplet::SubmodelPlacement placement;
-};
-
-/// The package a sub-model scenario runs in: the spec's payload when given,
-/// else the demo package sized to the padded window and solved for the
-/// config's thermal load (the same package every example/bench uses). The
-/// sweep engine pre-resolves this per padded size and shares it across
-/// scenarios via the payload slot — building a package is itself a coarse
-/// FEM solve.
-ResolvedPackage resolve_package(const sweep::ScenarioSpec& spec, const SimulationConfig& config) {
-  ResolvedPackage resolved;
-  const int padded_x = spec.blocks_x + 2 * spec.dummy_rings;
-  const int padded_y = spec.blocks_y + 2 * spec.dummy_rings;
-  if (spec.package != nullptr) {
-    resolved.package = spec.package;
-  } else {
-    const chiplet::PackageGeometry geometry = chiplet::demo_package_geometry(
-        config.geometry.pitch, std::max(padded_x, padded_y), config.geometry.height);
-    resolved.package = std::make_shared<chiplet::PackageModel>(
-        geometry, chiplet::demo_coarse_spec(), config.thermal_load);
-  }
-  if (spec.placement.blocks_x != 0) {
-    resolved.placement = spec.placement;
-  } else {
-    const std::vector<chiplet::SubmodelPlacement> locations = chiplet::standard_locations(
-        resolved.package->geometry(), config.geometry.pitch, padded_x, padded_y);
-    resolved.placement = locations[static_cast<std::size_t>(spec.location - 1)];
-  }
-  return resolved;
+/// The package's own coarse displacement in the window's local frame. The
+/// closure keeps the package alive: the field references its mesh and u.
+std::function<std::array<double, 3>(const mesh::Point3&)> package_boundary(
+    const std::shared_ptr<const chiplet::PackageModel>& package,
+    const chiplet::SubmodelPlacement& placement) {
+  const chiplet::DisplacementField local =
+      chiplet::DisplacementField(package->mesh(), package->displacement())
+          .shifted(placement.origin);
+  return [local, package](const mesh::Point3& p) { return local(p); };
 }
 
-/// The package's own coarse displacement in the window's local frame — the
-/// same boundary data every simulate_submodel_* path derives internally.
-std::function<std::array<double, 3>(const mesh::Point3&)> package_boundary_of(
-    const ResolvedPackage& resolved) {
-  const chiplet::DisplacementField local =
-      chiplet::DisplacementField(resolved.package->mesh(), resolved.package->displacement())
-          .shifted(resolved.placement.origin);
-  // The closure keeps the package alive: the field references its mesh/u.
-  const std::shared_ptr<const chiplet::PackageModel> keep = resolved.package;
-  return [local, keep](const mesh::Point3& p) { return local(p); };
+/// Recorded-history indices the fatigue panel solves: every stride-th record
+/// starting at the initial state, the last record always included (the
+/// envelope of a relaxing trace lives there).
+std::vector<int> select_history_steps(std::size_t num_records, int stride) {
+  if (stride < 1) throw std::invalid_argument("FatigueOptions: record_stride must be >= 1");
+  std::vector<int> steps;
+  for (std::size_t r = 0; r < num_records; r += static_cast<std::size_t>(stride)) {
+    steps.push_back(static_cast<int>(r));
+  }
+  if (steps.empty() || steps.back() != static_cast<int>(num_records) - 1) {
+    steps.push_back(static_cast<int>(num_records) - 1);
+  }
+  return steps;
+}
+
+/// Per-block ΔT loads of the selected recorded steps.
+std::vector<rom::BlockLoadField> loads_of_steps(const thermal::TransientTemperatureResult& t,
+                                                const std::vector<int>& steps) {
+  std::vector<rom::BlockLoadField> loads;
+  loads.reserve(steps.size());
+  for (int step : steps) {
+    if (step < 0 || static_cast<std::size_t>(step) >= t.num_records()) {
+      throw std::invalid_argument("snapshot step outside the recorded history");
+    }
+    loads.emplace_back(t.blocks_x, t.blocks_y, la::Vec(t.block_delta_t[step]));
+  }
+  return loads;
 }
 
 }  // namespace
 
-sweep::ScenarioResult MoreStressSimulator::simulate(const sweep::ScenarioSpec& spec) {
-  spec.validate();
-
-  // A transient time-step override runs under an adjusted config with the
-  // same caches and (shared) local-stage models — bit-identical to a
-  // simulator constructed with that config outright.
-  if (spec.time_step != 0.0 && spec.analysis != sweep::AnalysisKind::kSteady &&
-      spec.time_step != config_.coupling.transient.time_step) {
-    SimulationConfig adjusted = config_;
-    adjusted.coupling.transient.time_step = spec.time_step;
-    MoreStressSimulator shadow(adjusted);
-    shadow.cache_dir_ = cache_dir_;
-    shadow.factor_cache_ = factor_cache_;
-    shadow.model_cache_ = model_cache_;
-    shadow.tsv_model_ = tsv_model_;
-    shadow.dummy_model_ = dummy_model_;
-    sweep::ScenarioSpec resolved = spec;
-    resolved.time_step = 0.0;
-    sweep::ScenarioResult result = shadow.simulate(resolved);
-    // Models the shadow built on demand flow back so repeated overrides on
-    // this simulator stay warm even without an attached model cache.
-    if (tsv_model_ == nullptr) tsv_model_ = shadow.tsv_model_;
-    if (dummy_model_ == nullptr) dummy_model_ = shadow.dummy_model_;
-    return result;
+MoreStressSimulator::Window MoreStressSimulator::resolve_window(
+    const sweep::ScenarioSpec& spec) {
+  const bool submodel = spec.kind == sweep::ScenarioKind::kSubmodel;
+  const int rings = submodel ? spec.dummy_rings : 0;
+  const int bx = spec.blocks_x + 2 * rings;
+  const int by = spec.blocks_y + 2 * rings;
+  const double pitch = config_.geometry.pitch;
+  Window window(rom::BlockGrid(bx, by, config_.local.nodes_x, config_.local.nodes_y,
+                               config_.local.nodes_z, pitch, config_.geometry.height));
+  window.report_range = {rings, rings + spec.blocks_x, rings, rings + spec.blocks_y};
+  window.plan_x = bx * pitch;
+  window.plan_y = by * pitch;
+  window.reduction.blocks_x = bx;
+  window.reduction.blocks_y = by;
+  window.reduction.pitch = pitch;
+  window.reduction.reference = config_.coupling.stress_free_temperature;
+  if (!submodel) {
+    window.bc = rom::clamp_top_bottom(window.grid);
+    return window;
   }
 
+  window.mask = mesh::padded_tsv_mask(bx, by, rings);
+  window.uses_dummy = rings > 0;
+  if (spec.load == sweep::LoadKind::kUniform && spec.displacement) {
+    window.bc = rom::submodel_boundary(window.grid, spec.displacement);
+    return window;
+  }
+  // The package: the spec's payload, else the demo package sized to the
+  // padded window and solved for the config's thermal load (the sweep engine
+  // shares one per padded size through the payload slot — building a
+  // package is itself a coarse FEM solve).
+  if (spec.package != nullptr) {
+    window.package = spec.package;
+  } else {
+    window.package = std::make_shared<chiplet::PackageModel>(
+        chiplet::demo_package_geometry(pitch, std::max(bx, by), config_.geometry.height),
+        chiplet::demo_coarse_spec(), config_.thermal_load);
+  }
+  const chiplet::PackageGeometry& geometry = window.package->geometry();
+  window.placement =
+      spec.placement.blocks_x != 0
+          ? spec.placement
+          : chiplet::standard_locations(geometry, pitch, bx, by)[static_cast<std::size_t>(
+                spec.location - 1)];
+  if (window.placement.blocks_x != bx || window.placement.blocks_y != by) {
+    throw std::invalid_argument("scenario '" + spec.name +
+                                "': placement must cover the padded window "
+                                "(blocks + 2*dummy_rings per axis)");
+  }
+  window.plan_x = geometry.substrate_x;
+  window.plan_y = geometry.substrate_y;
+  window.reduction.windowed = true;
+  window.reduction.origin = window.placement.origin;
+  window.reduction.z0 = geometry.interposer_z0();
+  window.reduction.z1 = geometry.interposer_z1();
+  window.bc = rom::submodel_boundary(window.grid,
+                                     package_boundary(window.package, window.placement));
+  return window;
+}
+
+sweep::ScenarioResult MoreStressSimulator::simulate(const sweep::ScenarioSpec& spec) {
+  MS_TRACE_SCOPE("core.simulate");
+  spec.validate();
   util::WallTimer timer;
   sweep::ScenarioResult result;
   result.name = spec.name;
   result.kind = spec.kind;
   result.analysis = spec.analysis;
 
-  const int bx = spec.blocks_x;
-  const int by = spec.blocks_y;
+  const Window window = resolve_window(spec);
+  const bool array = spec.kind == sweep::ScenarioKind::kArray;
+  const auto synthesized_power = [&]() {
+    return array ? sweep::make_power_map(spec, config_)
+                 : sweep::make_power_map(spec, config_, window.package->geometry(),
+                                         window.placement);
+  };
+  // density_at is 0 outside a map, so a map short of the conduction plan
+  // would silently drop heat.
+  const auto require_footprint = [&window](const thermal::PowerMap& map) {
+    if (std::abs(map.width() - window.plan_x) > 1e-9 * window.plan_x ||
+        std::abs(map.height() - window.plan_y) > 1e-9 * window.plan_y) {
+      throw std::invalid_argument(
+          "power map footprint must match the array extent or package plan (use "
+          "PowerMap::per_block, or zero tiles for unpowered regions)");
+    }
+  };
 
-  if (spec.kind == sweep::ScenarioKind::kArray) {
-    switch (spec.analysis) {
-      case sweep::AnalysisKind::kSteady: {
-        if (spec.load == sweep::LoadKind::kUniform) {
-          const rom::BlockLoadField load =
-              spec.load_field != nullptr
-                  ? *spec.load_field
-                  : rom::BlockLoadField::uniform(
-                        std::isnan(spec.delta_t) ? config_.thermal_load : spec.delta_t);
-          result.array = std::make_shared<ArrayResult>(simulate_array(bx, by, load));
-        } else {
-          const thermal::PowerMap power = spec.power_map != nullptr
-                                              ? *spec.power_map
-                                              : sweep::make_power_map(spec, config_);
-          result.thermal_array =
-              std::make_shared<ThermalArrayResult>(simulate_array_thermal(bx, by, power));
-        }
-        break;
-      }
-      case sweep::AnalysisKind::kTransient: {
-        const thermal::PowerTrace trace =
-            spec.power_trace != nullptr
-                ? *spec.power_trace
-                : sweep::make_power_trace(spec, sweep::make_power_map(spec, config_));
-        result.transient_array = std::make_shared<ThermalTransientArrayResult>(
-            simulate_array_thermal_transient(bx, by, trace, spec.snapshot_steps));
-        break;
-      }
-      case sweep::AnalysisKind::kFatigue: {
-        const thermal::PowerTrace trace =
-            spec.power_trace != nullptr
-                ? *spec.power_trace
-                : sweep::make_power_trace(spec, sweep::make_power_map(spec, config_));
-        result.fatigue = std::make_shared<FatigueResult>(
-            simulate_array_fatigue(bx, by, trace, spec.fatigue));
-        break;
-      }
+  // validate() pins the load to the analysis: uniform/power -> steady,
+  // trace -> transient/fatigue.
+  if (spec.load == sweep::LoadKind::kUniform) {
+    const rom::BlockLoadField load =
+        spec.load_field != nullptr
+            ? *spec.load_field
+            : rom::BlockLoadField::uniform(std::isnan(spec.delta_t) ? config_.thermal_load
+                                                                    : spec.delta_t);
+    result.array = std::make_shared<ArrayResult>(run_global_multi(window, load, {}, nullptr));
+  } else if (spec.load == sweep::LoadKind::kPower) {
+    const thermal::PowerMap power =
+        spec.power_map != nullptr ? *spec.power_map : synthesized_power();
+    require_footprint(power);
+    const auto steady = [&](auto& r) {
+      r.load = steady_conduction(window, power, &r.temperature, &r.thermal_stats);
+      static_cast<ArrayResult&>(r) = run_global_multi(window, r.load, {}, nullptr);
+    };
+    if (array) {
+      steady(*(result.thermal_array = std::make_shared<ThermalArrayResult>()));
+    } else {
+      steady(*(result.thermal_submodel = std::make_shared<ThermalSubmodelResult>()));
     }
   } else {
-    const ResolvedPackage resolved = resolve_package(spec, config_);
-    switch (spec.analysis) {
-      case sweep::AnalysisKind::kSteady: {
-        if (spec.load == sweep::LoadKind::kUniform) {
-          const auto boundary = spec.displacement ? spec.displacement
-                                                  : package_boundary_of(resolved);
-          if (spec.load_field == nullptr && std::isnan(spec.delta_t)) {
-            result.array = std::make_shared<ArrayResult>(
-                simulate_submodel(bx, by, spec.dummy_rings, boundary));
-          } else {
-            // ΔT override: the legacy path hard-codes config.thermal_load, so
-            // drive the shared core with the custom load directly.
-            const int padded_x = bx + 2 * spec.dummy_rings;
-            const int padded_y = by + 2 * spec.dummy_rings;
-            const rom::BlockLoadField load =
-                spec.load_field != nullptr ? *spec.load_field
-                                           : rom::BlockLoadField::uniform(spec.delta_t);
-            result.array = std::make_shared<ArrayResult>(run_submodel(
-                bx, by, spec.dummy_rings,
-                mesh::padded_tsv_mask(padded_x, padded_y, spec.dummy_rings), boundary, load));
-          }
-        } else {
-          const thermal::PowerMap power =
-              spec.power_map != nullptr
-                  ? *spec.power_map
-                  : sweep::make_power_map(spec, config_, resolved.package->geometry(),
-                                          resolved.placement);
-          result.thermal_submodel =
-              std::make_shared<ThermalSubmodelResult>(simulate_submodel_thermal(
-                  bx, by, spec.dummy_rings, *resolved.package, resolved.placement, power));
-        }
-        break;
+    const thermal::PowerTrace trace =
+        spec.power_trace != nullptr ? *spec.power_trace
+                                    : sweep::make_power_trace(spec, synthesized_power());
+    if (trace.num_keyframes() == 0) throw std::invalid_argument("trace has no keyframes");
+    for (std::size_t i = 0; i < trace.num_keyframes(); ++i) require_footprint(trace.keyframe(i));
+    const double time_step =
+        spec.time_step != 0.0 ? spec.time_step : config_.coupling.transient.time_step;
+    const auto march = [&](auto& r) {
+      r.transient = transient_conduction(window, trace, time_step, &r.thermal_stats);
+      r.envelope_load = rom::BlockLoadField(window.grid.blocks_x(), window.grid.blocks_y(),
+                                            Vec(r.transient.peak_envelope));
+    };
+
+    if (spec.analysis == sweep::AnalysisKind::kTransient) {
+      // The envelope and every requested snapshot share the global operator:
+      // one assembly, one factorization, one multi-RHS panel.
+      const auto transient = [&](auto& r, std::vector<ArrayResult>* snapshots) {
+        march(r);
+        static_cast<ArrayResult&>(r) =
+            run_global_multi(window, r.envelope_load,
+                             loads_of_steps(r.transient, spec.snapshot_steps), snapshots);
+      };
+      if (array) {
+        auto& r = *(result.transient_array = std::make_shared<ThermalTransientArrayResult>());
+        r.snapshot_steps = spec.snapshot_steps;
+        transient(r, &r.snapshots);
+      } else {
+        transient(*(result.transient_submodel =
+                        std::make_shared<ThermalTransientSubmodelResult>()),
+                  nullptr);
       }
-      case sweep::AnalysisKind::kTransient: {
-        const thermal::PowerTrace trace =
-            spec.power_trace != nullptr
-                ? *spec.power_trace
-                : sweep::make_power_trace(
-                      spec, sweep::make_power_map(spec, config_, resolved.package->geometry(),
-                                                  resolved.placement));
-        result.transient_submodel = std::make_shared<ThermalTransientSubmodelResult>(
-            simulate_submodel_thermal_transient(bx, by, spec.dummy_rings, *resolved.package,
-                                                resolved.placement, trace));
-        break;
-      }
-      case sweep::AnalysisKind::kFatigue: {
-        const thermal::PowerTrace trace =
-            spec.power_trace != nullptr
-                ? *spec.power_trace
-                : sweep::make_power_trace(
-                      spec, sweep::make_power_map(spec, config_, resolved.package->geometry(),
-                                                  resolved.placement));
-        result.fatigue = std::make_shared<FatigueResult>(simulate_submodel_fatigue(
-            bx, by, spec.dummy_rings, *resolved.package, resolved.placement, trace,
-            spec.fatigue));
-        break;
-      }
+    } else {
+      FatigueResult& r = *(result.fatigue = std::make_shared<FatigueResult>());
+      march(r);
+      r.history_steps =
+          select_history_steps(r.transient.num_records(), spec.fatigue.record_stride);
+      std::vector<double> step_times;
+      step_times.reserve(r.history_steps.size());
+      for (int step : r.history_steps) step_times.push_back(r.transient.times[step]);
+      static_cast<ArrayResult&>(r) = run_fatigue_panel(
+          window, r.envelope_load, loads_of_steps(r.transient, r.history_steps), step_times,
+          &r.history, &r.solve_stats, &r.history_seconds);
+      util::WallTimer reliability_timer;
+      r.report = assess_fatigue(r.history, trace.duration(), spec.fatigue);
+      r.reliability_seconds = reliability_timer.seconds();
     }
   }
 
@@ -234,6 +258,9 @@ sweep::ScenarioResult MoreStressSimulator::simulate(const sweep::ScenarioSpec& s
   result.diagonal_shift = max_shift_of(result);
   if (result.diagonal_shift != 0.0) result.status = sweep::ScenarioStatus::kDegraded;
   result.simulate_seconds = timer.seconds();
+  MS_LOG_DEBUG("%s %s scenario '%s': %d x %d blocks, peak von Mises %.3f MPa",
+               sweep::to_string(spec.kind), sweep::to_string(spec.analysis), spec.name.c_str(),
+               spec.blocks_x, spec.blocks_y, result.peak_von_mises);
 
   auto& reg = obs::MetricRegistry::global();
   reg.counter("sweep.scenarios").add(1);

@@ -1,6 +1,6 @@
 #pragma once
 // The result of one simulate(spec) query: headline metrics every scenario
-// kind shares (peak stress, lifetime, wall time) plus the full legacy result
+// kind shares (peak stress, lifetime, wall time) plus the full core result
 // payload — exactly one of the shared_ptr slots is set, matching the
 // scenario's kind/analysis. Payloads are shared_ptr so ScenarioResults are
 // cheap to collect, sort, and copy into Pareto tables.

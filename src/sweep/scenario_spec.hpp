@@ -1,11 +1,11 @@
 #pragma once
 // One declarative description of a MORE-Stress query — the unit of work of
-// the sweep engine and the preferred argument of
-// MoreStressSimulator::simulate(). A ScenarioSpec names the scenario kind
-// (standalone array or embedded sub-model), the analysis (steady-state,
-// transient envelope, or cycle-resolved fatigue), the load (uniform ΔT,
-// steady power map, or time-domain power trace), and every knob the legacy
-// simulate_* signatures took positionally — in one value type that is
+// the sweep engine and the only argument of MoreStressSimulator::simulate().
+// A ScenarioSpec names the scenario kind (standalone array or embedded
+// sub-model), the analysis (steady-state, transient envelope, or
+// cycle-resolved fatigue), the load (uniform ΔT, steady power map, or
+// time-domain power trace), and every knob of the query — in one value type
+// that is
 //
 //   * parseable from `key = value` config text (parse_scenarios below, with
 //     line-numbered diagnostics and a [defaults] section),
@@ -15,8 +15,9 @@
 //   * serializable back to canonical config text (to_config_text) such that
 //     parse(to_config_text(s)) == s round-trips exactly.
 //
-// simulate(spec) is bit-identical to the corresponding legacy simulate_*
-// call — the equivalence locks in tests/sweep assert this per scenario kind.
+// A payload or override is bit-identical to the declarative form it
+// replaces — the equivalence locks in tests/sweep assert this per scenario
+// kind.
 
 #include <array>
 #include <cmath>
@@ -99,9 +100,9 @@ struct ScenarioSpec {
   PowerSpec power;  ///< kPower / kTrace synthesis inputs
   TraceSpec trace;  ///< kTrace synthesis inputs
   /// Transient time step override [s]; 0 defers to
-  /// config.coupling.transient.time_step. A non-zero override runs the query
-  /// under an adjusted config (same caches), still bit-identical to a
-  /// simulator constructed with that config.
+  /// config.coupling.transient.time_step. The override only changes the
+  /// θ-stepper's step, bit-identical to a simulator constructed with that
+  /// config.
   double time_step = 0.0;
   /// Recorded-history indices to fully reconstruct (kArray + kTransient only).
   std::vector<int> snapshot_steps;
@@ -118,8 +119,9 @@ struct ScenarioSpec {
   /// Placement paired with `package`; blocks_x == 0 means "derive from
   /// standard_locations(location)".
   chiplet::SubmodelPlacement placement;
-  /// kSubmodel + kUniform boundary data override (legacy simulate_submodel's
-  /// displacement argument); null derives it from the (demo) package.
+  /// kSubmodel + kUniform boundary data override: displacements in the
+  /// window's local frame, and no package is resolved or built. Null
+  /// derives the boundary data from the (demo) package.
   std::function<std::array<double, 3>(const mesh::Point3&)> displacement;
 
   /// Throws std::invalid_argument naming the offending field when the
@@ -159,8 +161,8 @@ std::vector<ScenarioSpec> parse_scenario_file(const std::string& path);
 
 /// Synthesize the declarative power map of an array scenario: one tile per
 /// block at power.background, plus the Gaussian hotspot when hotspot_peak is
-/// non-zero. Exposed so equivalence tests and benches can drive the legacy
-/// entry points with bit-identical inputs.
+/// non-zero. Exposed so equivalence tests and benches can build the
+/// power_map / power_trace payloads bit-identical to the synthesis.
 [[nodiscard]] thermal::PowerMap make_power_map(const ScenarioSpec& spec,
                                                const core::SimulationConfig& config);
 

@@ -12,8 +12,8 @@
 //     scenario via the spec's payload slot.
 //
 // Every scenario still runs on a *fresh* MoreStressSimulator wired to the
-// shared caches, so results are bit-identical to cold one-off runs of the
-// legacy simulate_* entry points (the cache-correctness tests assert this).
+// shared caches, so results are bit-identical to cold one-off simulate(spec)
+// runs on an uncached simulator (the cache-correctness tests assert this).
 // enqueue() returns a std::future for async collection; run() preserves
 // input order and marks the (peak stress ↓, lifetime ↑) Pareto frontier.
 

@@ -1,5 +1,6 @@
 #include "util/log.hpp"
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -10,7 +11,9 @@
 namespace ms::util {
 namespace {
 
-LogLevel g_level = LogLevel::Info;
+// Read by every MS_LOG_* call on every sweep worker; relaxed ordering is
+// enough, a level change need not order any other memory.
+std::atomic<LogLevel> g_level{LogLevel::Info};
 
 // Serializes concurrent MS_LOG_* writers: each message is formatted into a
 // local buffer and written with ONE fwrite, so multi-threaded sweep logs
@@ -40,12 +43,12 @@ const char* basename_of(const char* path) {
 
 }  // namespace
 
-void set_log_level(LogLevel level) { g_level = level; }
+void set_log_level(LogLevel level) { g_level.store(level, std::memory_order_relaxed); }
 
-LogLevel log_level() { return g_level; }
+LogLevel log_level() { return g_level.load(std::memory_order_relaxed); }
 
 void log_message(LogLevel level, const char* file, int line, const char* fmt, ...) {
-  if (static_cast<int>(level) < static_cast<int>(g_level)) return;
+  if (static_cast<int>(level) < static_cast<int>(log_level())) return;
   // Format the whole line locally, then write it atomically. Oversized
   // messages are truncated with a marker rather than split across writes.
   char buf[1024];

@@ -1,6 +1,6 @@
 // Scenario-2 thermal coupling: power map -> package conduction -> per-block
 // ΔT in the sub-model window -> ROM sub-modeling path. Pins the degenerate
-// uniform case to the scalar-ΔT simulate_submodel path (mirror of the PR-1
+// uniform case to the scalar-ΔT sub-model scenario (mirror of the PR-1
 // array regression), validates against the brute-force reference FEM via the
 // shared harness, and sanity-checks the hotspot physics and input guards.
 
@@ -10,10 +10,16 @@
 #include <cmath>
 
 #include "chiplet/package_thermal.hpp"
+#include "util/scenario_specs.hpp"
 #include "util/validation_harness.hpp"
 
 namespace ms::chiplet {
 namespace {
+
+using testutil::in_package;
+using testutil::submodel_spec;
+using testutil::with_power;
+using testutil::with_trace;
 
 core::SimulationConfig test_config() {
   core::SimulationConfig config = core::SimulationConfig::paper_default();
@@ -62,7 +68,10 @@ TEST(SubmodelThermal, UniformPowerMatchesScalarDeltaTPath) {
   const thermal::PowerMap power(1, 1, plan, plan, 50.0);
   core::MoreStressSimulator sim(config);
   const core::ThermalSubmodelResult coupled =
-      sim.simulate_submodel_thermal(blocks, blocks, /*dummy_rings=*/0, package, placement, power);
+      *sim.simulate(with_power(in_package(submodel_spec(blocks, blocks, /*dummy_rings=*/0),
+                                          package, placement),
+                               power))
+           .thermal_submodel;
 
   // Plan-uniform stack + uniform power: the window ΔT must be uniform ...
   ASSERT_EQ(coupled.load.values().size(), static_cast<std::size_t>(blocks * blocks));
@@ -81,7 +90,10 @@ TEST(SubmodelThermal, UniformPowerMatchesScalarDeltaTPath) {
                                     p.z + placement.origin.z});
   };
   const core::ArrayResult scalar =
-      scalar_sim.simulate_submodel(blocks, blocks, /*dummy_rings=*/0, displacement);
+      *scalar_sim
+           .simulate(testutil::with_displacement(submodel_spec(blocks, blocks, /*dummy_rings=*/0),
+                                                 displacement))
+           .array;
 
   ASSERT_EQ(scalar.von_mises.size(), coupled.von_mises.size());
   double peak = 0.0;
@@ -135,7 +147,8 @@ TEST(SubmodelThermal, HotspotOverWindowHeatsNearestBlocks) {
 
   core::MoreStressSimulator sim(config);
   const core::ThermalSubmodelResult result =
-      sim.simulate_submodel_thermal(padded, padded, 0, package, loc, power);
+      *sim.simulate(with_power(in_package(submodel_spec(padded, padded, 0), package, loc), power))
+           .thermal_submodel;
 
   const auto& dt = result.load.values();
   ASSERT_EQ(dt.size(), 9u);
@@ -187,16 +200,19 @@ TEST(SubmodelThermal, RejectsBadInputs) {
 
   const thermal::PowerMap good(4, 4, geometry.substrate_x, geometry.substrate_y, 10.0);
   // Placement covers 3x3 but tsv+rings asks for 4x4.
-  EXPECT_THROW((void)sim.simulate_submodel_thermal(2, 2, 1, package, locations[0], good),
+  EXPECT_THROW((void)sim.simulate(
+                   with_power(in_package(submodel_spec(2, 2, 1), package, locations[0]), good)),
                std::invalid_argument);
   // Power map footprint must match the package plan.
   const thermal::PowerMap small(4, 4, 50.0, 50.0, 10.0);
-  EXPECT_THROW((void)sim.simulate_submodel_thermal(3, 3, 0, package, locations[0], small),
+  EXPECT_THROW((void)sim.simulate(
+                   with_power(in_package(submodel_spec(3, 3, 0), package, locations[0]), small)),
                std::invalid_argument);
   // Window outside the interposer.
   const SubmodelPlacement outside{{-100.0, 0.0, geometry.interposer_z0()}, 3, 3, "bad"};
-  EXPECT_THROW((void)sim.simulate_submodel_thermal(3, 3, 0, package, outside, good),
-               std::invalid_argument);
+  EXPECT_THROW(
+      (void)sim.simulate(with_power(in_package(submodel_spec(3, 3, 0), package, outside), good)),
+      std::invalid_argument);
 }
 
 TEST(SubmodelTransient, ConstantTraceRelaxesToSteadySubmodelPath) {
@@ -218,10 +234,12 @@ TEST(SubmodelTransient, ConstantTraceRelaxesToSteadySubmodelPath) {
                              config.geometry.pitch, 150.0);
 
   core::MoreStressSimulator sim(config);
+  const sweep::ScenarioSpec window = in_package(submodel_spec(padded, padded, 0), package, loc);
   const core::ThermalSubmodelResult steady =
-      sim.simulate_submodel_thermal(padded, padded, 0, package, loc, power);
-  const core::ThermalTransientSubmodelResult transient = sim.simulate_submodel_thermal_transient(
-      padded, padded, 0, package, loc, thermal::PowerTrace::constant(power, 4.0));
+      *sim.simulate(with_power(window, power)).thermal_submodel;
+  const core::ThermalTransientSubmodelResult transient =
+      *sim.simulate(with_trace(window, thermal::PowerTrace::constant(power, 4.0)))
+           .transient_submodel;
 
   // The windowed per-step reduction relaxes to the steady windowed ΔT ...
   const auto& steady_dt = steady.load.values();
@@ -265,7 +283,9 @@ TEST(SubmodelFatigue, PulsedPackageTraceBatchesOnePanelAndReportsDamage) {
 
   core::MoreStressSimulator sim(config);
   const core::FatigueResult result =
-      sim.simulate_submodel_fatigue(tsv, tsv, rings, package, loc, trace);
+      *sim.simulate(with_trace(in_package(submodel_spec(tsv, tsv, rings), package, loc), trace,
+                               sweep::AnalysisKind::kFatigue))
+           .fatigue;
 
   // The history covers the inner TSV region only, one channel record per
   // recorded step, batched as one panel on a single factorization.

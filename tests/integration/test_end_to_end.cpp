@@ -17,9 +17,12 @@
 #include "fem/stress.hpp"
 #include "mesh/tsv_block.hpp"
 #include "rom/local_stage.hpp"
+#include "util/scenario_specs.hpp"
 
 namespace ms {
 namespace {
+
+using testutil::array_spec;
 
 core::SimulationConfig test_config(int nodes) {
   core::SimulationConfig config = core::SimulationConfig::paper_default();
@@ -110,7 +113,7 @@ TEST_P(EndToEndConvergence, ErrorWithinBand) {
   const int nodes = GetParam();
   core::SimulationConfig config = test_config(nodes);
   core::MoreStressSimulator sim(config);
-  const core::ArrayResult rom = sim.simulate_array(2, 2);
+  const core::ArrayResult rom = *sim.simulate(array_spec(2, 2)).array;
 
   fem::FemSolveOptions options;
   options.method = "direct";
@@ -132,7 +135,7 @@ TEST(EndToEnd, ErrorDecreasesMonotonicallyWithNodes) {
   double previous = 1e9;
   for (int nodes : {2, 3, 4, 5}) {
     core::MoreStressSimulator sim(test_config(nodes));
-    const core::ArrayResult rom = sim.simulate_array(2, 2);
+    const core::ArrayResult rom = *sim.simulate(array_spec(2, 2)).array;
     const double err = core::field_error(ref, rom.von_mises);
     EXPECT_LT(err, previous) << "nodes=" << nodes;
     previous = err;
@@ -150,7 +153,8 @@ TEST(EndToEnd, RomIsExactWhenBoundaryIsResolved) {
   const auto smooth = [](const mesh::Point3& p) {
     return std::array<double, 3>{1e-4 * p.x * p.x / 15.0, -2e-4 * p.y, 1e-4 * (p.z - 25.0)};
   };
-  const core::ArrayResult rom = sim.simulate_submodel(1, 1, 0, smooth);
+  const core::ArrayResult rom =
+      *sim.simulate(testutil::with_displacement(testutil::submodel_spec(1, 1, 0), smooth)).array;
 
   // Fine reference: boundary values = Lagrange interpolation of smooth() at
   // the surface nodes (NOT smooth() itself — the quadratic x-term is outside
@@ -194,7 +198,7 @@ TEST(EndToEnd, RomBeatsSuperpositionOnTightPitch) {
   core::SimulationConfig config = test_config(4);
   config.geometry.pitch = 10.0;
   core::MoreStressSimulator sim(config);
-  const core::ArrayResult rom = sim.simulate_array(3, 3);
+  const core::ArrayResult rom = *sim.simulate(array_spec(3, 3)).array;
 
   fem::FemSolveOptions options;
   options.method = "direct";

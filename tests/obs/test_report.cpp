@@ -8,6 +8,7 @@
 #include "obs/metrics.hpp"
 #include "thermal/power_map.hpp"
 #include "util/json.hpp"
+#include "util/scenario_specs.hpp"
 
 namespace ms::obs {
 namespace {
@@ -95,7 +96,9 @@ TEST(RunReport, MatchesLegacyStatsOnArrayThermalRun) {
   // Zero the global registry so each histogram sees exactly one record and
   // its sum equals the recorded value with no accumulation rounding.
   MetricRegistry::global().reset();
-  const core::ThermalArrayResult result = sim.simulate_array_thermal(blocks, blocks, power);
+  const core::ThermalArrayResult result =
+      *sim.simulate(testutil::with_power(testutil::array_spec(blocks, blocks), power))
+           .thermal_array;
   const RunReport report = RunReport::capture();
 
   // Global (ROM) stage: core.run.* mirrors core::RunStats.

@@ -15,6 +15,7 @@
 #endif
 
 #include "util/json.hpp"
+#include "util/temp_path.hpp"
 
 namespace ms::obs {
 namespace {
@@ -81,8 +82,11 @@ TEST_F(TraceTest, ScopedSpanEndIsIdempotent) {
 TEST_F(TraceTest, OpenMpRegionsBalanceAcrossThreads) {
   set_tracing_enabled(true);
   constexpr int kIterations = 64;
+  // Static schedule: every thread of the team gets a chunk. Under dynamic
+  // scheduling one fast thread could drain all 64 trivial iterations and
+  // leave the multi-thread assertion below to chance.
 #ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic)
+#pragma omp parallel for schedule(static)
 #endif
   for (int i = 0; i < kIterations; ++i) {
     MS_TRACE_SCOPE("panel");
@@ -139,7 +143,7 @@ TEST_F(TraceTest, WriteChromeTraceProducesLoadableFile) {
   { MS_TRACE_SCOPE("span"); }
   set_tracing_enabled(false);
 
-  const std::string path = ::testing::TempDir() + "ms_trace_test.json";
+  const std::string path = testutil::unique_temp_path("_trace.json");
   write_chrome_trace(path);
   std::ifstream in(path);
   ASSERT_TRUE(in.good());

@@ -14,9 +14,19 @@
 
 #include "core/simulator.hpp"
 #include "reliability/rainflow.hpp"
+#include "util/scenario_specs.hpp"
 
 namespace ms::core {
 namespace {
+
+/// Array fatigue scenario over `trace` with `options`.
+sweep::ScenarioSpec fatigue_spec(int blocks, const thermal::PowerTrace& trace,
+                                 const FatigueOptions& options = {}) {
+  sweep::ScenarioSpec spec = testutil::with_trace(testutil::array_spec(blocks, blocks), trace,
+                                                  sweep::AnalysisKind::kFatigue);
+  spec.fatigue = options;
+  return spec;
+}
 
 SimulationConfig test_config() {
   SimulationConfig config = SimulationConfig::paper_default();
@@ -67,9 +77,10 @@ TEST(FatigueCoupling, ConstantTraceMatchesEnvelopePathAndCountsOneHalfCycle) {
   ASSERT_TRUE(trace.is_constant());
 
   MoreStressSimulator sim(config);
-  const FatigueResult fatigue = sim.simulate_array_fatigue(blocks, blocks, trace);
+  const FatigueResult fatigue = *sim.simulate(fatigue_spec(blocks, trace)).fatigue;
   const ThermalTransientArrayResult envelope =
-      sim.simulate_array_thermal_transient(blocks, blocks, trace);
+      *sim.simulate(testutil::with_trace(testutil::array_spec(blocks, blocks), trace))
+           .transient_array;
 
   // The fatigue result's base solve *is* the envelope solve.
   ASSERT_EQ(fatigue.von_mises.size(), envelope.von_mises.size());
@@ -129,7 +140,7 @@ TEST(FatigueCoupling, PulsedHotspotLocalizesDamageAndReportsLifetime) {
   FatigueOptions options;
   options.range_bins = 6;
   options.mean_bins = 3;
-  const FatigueResult result = sim.simulate_array_fatigue(blocks, blocks, trace, options);
+  const FatigueResult result = *sim.simulate(fatigue_spec(blocks, trace, options)).fatigue;
 
   // Three channels assessed under the standard model set.
   ASSERT_EQ(result.report.channels.size(), 3u);
@@ -174,7 +185,7 @@ TEST(FatigueCoupling, PulsedHotspotLocalizesDamageAndReportsLifetime) {
   // Strided recording still spans the whole history.
   FatigueOptions strided = options;
   strided.record_stride = 4;
-  const FatigueResult coarse = sim.simulate_array_fatigue(blocks, blocks, trace, strided);
+  const FatigueResult coarse = *sim.simulate(fatigue_spec(blocks, trace, strided)).fatigue;
   EXPECT_LT(coarse.history.num_steps(), result.history.num_steps());
   EXPECT_EQ(coarse.history_steps.back(),
             static_cast<int>(coarse.transient.num_records()) - 1);

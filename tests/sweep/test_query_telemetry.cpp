@@ -25,6 +25,7 @@
 #include "sweep/sweep_engine.hpp"
 #include "util/fault_injector.hpp"
 #include "util/json.hpp"
+#include "util/temp_path.hpp"
 
 namespace ms::sweep {
 namespace {
@@ -207,7 +208,7 @@ TEST_F(QueryTelemetryTest, InjectedFaultRowsShipTelemetryAndFlightSnapshot) {
 }
 
 TEST_F(QueryTelemetryTest, EventLogRecordsTheScenarioLifecycle) {
-  const std::string path = ::testing::TempDir() + "ms_sweep_events.jsonl";
+  const std::string path = testutil::unique_temp_path("_events.jsonl");
   obs::EventLog::open(path);
 
   SweepOptions options;

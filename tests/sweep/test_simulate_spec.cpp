@@ -1,6 +1,9 @@
-// Equivalence locks: simulate(spec) must be bit-identical to the legacy
-// simulate_* call it replaces — same fields, same stress tensors, same
-// global solution, compared with == (no tolerance). Both calls run on one
+// Equivalence locks: every programmatic payload (load_field, power_map,
+// power_trace) and override (delta_t, time_step) of a ScenarioSpec must be
+// bit-identical to the declarative form it replaces — the scalar ΔT, the
+// config's thermal load, the synthesized power map / trace, a simulator
+// built with the adjusted config. Same fields, same stress tensors, same
+// global solution, compared with == (no tolerance). Both queries run on one
 // simulator (shared local-stage model, no caches), so any drift is a real
 // dispatch bug, not numerical noise.
 
@@ -9,9 +12,13 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <vector>
 
 #include "chiplet/package_model.hpp"
+#include "core/cancel.hpp"
+#include "core/sim_error.hpp"
 #include "core/simulator.hpp"
 #include "sweep/scenario_result.hpp"
 #include "sweep/scenario_spec.hpp"
@@ -36,32 +43,37 @@ void expect_bitwise(const core::ArrayResult& a, const core::ArrayResult& b) {
 }
 
 TEST(SimulateSpec, ArraySteadyUniformMatchesLegacy) {
-  core::MoreStressSimulator sim(small_config());
-  const core::ArrayResult legacy = sim.simulate_array(3, 2);
-
+  // The default delta_t (NaN) defers to config.thermal_load.
+  const core::SimulationConfig config = small_config();
+  core::MoreStressSimulator sim(config);
   ScenarioSpec spec;
   spec.blocks_x = 3;
   spec.blocks_y = 2;
-  const ScenarioResult result = sim.simulate(spec);
-  ASSERT_NE(result.array, nullptr);
-  expect_bitwise(*result.array, legacy);
-  EXPECT_EQ(result.peak_von_mises,
-            *std::max_element(legacy.von_mises.begin(), legacy.von_mises.end()));
-  EXPECT_TRUE(std::isnan(result.min_life_log10));
+  const ScenarioResult deferred = sim.simulate(spec);
+  spec.delta_t = config.thermal_load;
+  const ScenarioResult explicit_load = sim.simulate(spec);
+  ASSERT_NE(deferred.array, nullptr);
+  ASSERT_NE(explicit_load.array, nullptr);
+  expect_bitwise(*deferred.array, *explicit_load.array);
+  const std::vector<double>& vm = explicit_load.array->von_mises;
+  EXPECT_EQ(deferred.peak_von_mises, *std::max_element(vm.begin(), vm.end()));
+  EXPECT_TRUE(std::isnan(deferred.min_life_log10));
 }
 
 TEST(SimulateSpec, ArraySteadyLoadFieldPayloadMatchesLegacy) {
   core::MoreStressSimulator sim(small_config());
-  rom::BlockLoadField load = rom::BlockLoadField::uniform(-100.0);
-  const core::ArrayResult legacy = sim.simulate_array(2, 2, load);
-
-  ScenarioSpec spec;
-  spec.blocks_x = 2;
-  spec.blocks_y = 2;
-  spec.load_field = std::make_shared<rom::BlockLoadField>(load);
-  const ScenarioResult result = sim.simulate(spec);
-  ASSERT_NE(result.array, nullptr);
-  expect_bitwise(*result.array, legacy);
+  ScenarioSpec scalar;
+  scalar.blocks_x = 2;
+  scalar.blocks_y = 2;
+  scalar.delta_t = -100.0;
+  ScenarioSpec payload = scalar;
+  payload.delta_t = std::numeric_limits<double>::quiet_NaN();
+  payload.load_field = std::make_shared<rom::BlockLoadField>(rom::BlockLoadField::uniform(-100.0));
+  const ScenarioResult a = sim.simulate(scalar);
+  const ScenarioResult b = sim.simulate(payload);
+  ASSERT_NE(a.array, nullptr);
+  ASSERT_NE(b.array, nullptr);
+  expect_bitwise(*b.array, *a.array);
 }
 
 TEST(SimulateSpec, ArraySteadyPowerMatchesLegacy) {
@@ -74,14 +86,17 @@ TEST(SimulateSpec, ArraySteadyPowerMatchesLegacy) {
   spec.blocks_y = 3;
   spec.power.background = 25.0;
   spec.power.hotspot_peak = 300.0;
+  ScenarioSpec payload = spec;
+  payload.power_map = std::make_shared<thermal::PowerMap>(make_power_map(spec, config));
 
-  const core::ThermalArrayResult legacy =
-      sim.simulate_array_thermal(3, 3, make_power_map(spec, config));
-  const ScenarioResult result = sim.simulate(spec);
+  const ScenarioResult synthesized = sim.simulate(spec);
+  const ScenarioResult result = sim.simulate(payload);
+  ASSERT_NE(synthesized.thermal_array, nullptr);
   ASSERT_NE(result.thermal_array, nullptr);
-  expect_bitwise(*result.thermal_array, legacy);
-  EXPECT_EQ(result.thermal_array->load.values(), legacy.load.values());
-  EXPECT_EQ(result.thermal_array->temperature.nodal(), legacy.temperature.nodal());
+  expect_bitwise(*result.thermal_array, *synthesized.thermal_array);
+  EXPECT_EQ(result.thermal_array->load.values(), synthesized.thermal_array->load.values());
+  EXPECT_EQ(result.thermal_array->temperature.nodal(),
+            synthesized.thermal_array->temperature.nodal());
 }
 
 TEST(SimulateSpec, ArrayTransientMatchesLegacyWithSnapshots) {
@@ -99,17 +114,21 @@ TEST(SimulateSpec, ArrayTransientMatchesLegacyWithSnapshots) {
   spec.trace.duty = 0.5;
   spec.trace.cycles = 1;
   spec.snapshot_steps = {0, 2};
+  ScenarioSpec payload = spec;
+  payload.power_trace = std::make_shared<thermal::PowerTrace>(
+      make_power_trace(spec, make_power_map(spec, config)));
 
-  const thermal::PowerTrace trace = make_power_trace(spec, make_power_map(spec, config));
-  const core::ThermalTransientArrayResult legacy =
-      sim.simulate_array_thermal_transient(3, 2, trace, spec.snapshot_steps);
-  const ScenarioResult result = sim.simulate(spec);
+  const ScenarioResult synthesized = sim.simulate(spec);
+  const ScenarioResult result = sim.simulate(payload);
+  ASSERT_NE(synthesized.transient_array, nullptr);
   ASSERT_NE(result.transient_array, nullptr);
-  expect_bitwise(*result.transient_array, legacy);
-  EXPECT_EQ(result.transient_array->envelope_load.values(), legacy.envelope_load.values());
-  ASSERT_EQ(result.transient_array->snapshots.size(), legacy.snapshots.size());
-  for (std::size_t i = 0; i < legacy.snapshots.size(); ++i) {
-    expect_bitwise(result.transient_array->snapshots[i], legacy.snapshots[i]);
+  const core::ThermalTransientArrayResult& expected = *synthesized.transient_array;
+  expect_bitwise(*result.transient_array, expected);
+  EXPECT_EQ(result.transient_array->envelope_load.values(), expected.envelope_load.values());
+  ASSERT_EQ(result.transient_array->snapshots.size(), 2u);
+  ASSERT_EQ(expected.snapshots.size(), 2u);
+  for (std::size_t i = 0; i < expected.snapshots.size(); ++i) {
+    expect_bitwise(result.transient_array->snapshots[i], expected.snapshots[i]);
   }
 }
 
@@ -127,49 +146,65 @@ TEST(SimulateSpec, ArrayFatigueMatchesLegacy) {
   spec.trace.period = 6e-5;
   spec.trace.duty = 0.25;
   spec.trace.cycles = 2;
+  ScenarioSpec payload = spec;
+  payload.power_trace = std::make_shared<thermal::PowerTrace>(
+      make_power_trace(spec, make_power_map(spec, config)));
 
-  const thermal::PowerTrace trace = make_power_trace(spec, make_power_map(spec, config));
-  const core::FatigueResult legacy = sim.simulate_array_fatigue(2, 2, trace, spec.fatigue);
-  const ScenarioResult result = sim.simulate(spec);
+  const ScenarioResult synthesized = sim.simulate(spec);
+  const ScenarioResult result = sim.simulate(payload);
+  ASSERT_NE(synthesized.fatigue, nullptr);
   ASSERT_NE(result.fatigue, nullptr);
-  expect_bitwise(*result.fatigue, legacy);
-  EXPECT_EQ(result.fatigue->report.min_life_cycles, legacy.report.min_life_cycles);
-  EXPECT_EQ(result.fatigue->report.min_life_channel, legacy.report.min_life_channel);
-  EXPECT_EQ(result.min_life_log10, std::log10(legacy.report.min_life_cycles));
-  EXPECT_EQ(result.min_life_seconds, legacy.report.min_life_seconds);
+  const core::FatigueResult& expected = *synthesized.fatigue;
+  expect_bitwise(*result.fatigue, expected);
+  EXPECT_EQ(result.fatigue->history.raw_data(), expected.history.raw_data());
+  EXPECT_EQ(result.fatigue->report.min_life_cycles, expected.report.min_life_cycles);
+  EXPECT_EQ(result.fatigue->report.min_life_channel, expected.report.min_life_channel);
+  EXPECT_EQ(result.min_life_log10, std::log10(expected.report.min_life_cycles));
+  EXPECT_EQ(result.min_life_seconds, expected.report.min_life_seconds);
 }
 
 TEST(SimulateSpec, SubmodelSteadyUniformDisplacementMatchesLegacy) {
+  // Sub-model window under a displacement payload: a delta_t override and
+  // the uniform load_field payload it replaces run the same load.
   core::MoreStressSimulator sim(small_config());
-  const auto linear = [](const mesh::Point3& p) {
-    return std::array<double, 3>{1e-4 * p.x, 1e-4 * p.y, -2e-4 * p.z};
-  };
-  const core::ArrayResult legacy = sim.simulate_submodel(2, 2, 1, linear);
-
   ScenarioSpec spec;
   spec.kind = ScenarioKind::kSubmodel;
   spec.blocks_x = 2;
   spec.blocks_y = 2;
   spec.dummy_rings = 1;
-  spec.displacement = linear;
-  const ScenarioResult result = sim.simulate(spec);
-  ASSERT_NE(result.array, nullptr);
-  expect_bitwise(*result.array, legacy);
+  spec.displacement = [](const mesh::Point3& p) {
+    return std::array<double, 3>{1e-4 * p.x, 1e-4 * p.y, -2e-4 * p.z};
+  };
+  spec.delta_t = -100.0;
+  ScenarioSpec payload = spec;
+  payload.delta_t = std::numeric_limits<double>::quiet_NaN();
+  payload.load_field = std::make_shared<rom::BlockLoadField>(rom::BlockLoadField::uniform(-100.0));
+
+  const ScenarioResult a = sim.simulate(spec);
+  const ScenarioResult b = sim.simulate(payload);
+  ASSERT_NE(a.array, nullptr);
+  ASSERT_NE(b.array, nullptr);
+  expect_bitwise(*b.array, *a.array);
+  EXPECT_EQ(a.array->region_blocks_x, 2);
+}
+
+/// The demo package hosting a 2x2 window padded by one ring (4x4 blocks).
+std::shared_ptr<const chiplet::PackageModel> demo_package(const core::SimulationConfig& config) {
+  const chiplet::PackageGeometry geometry =
+      chiplet::demo_package_geometry(config.geometry.pitch, 4, config.geometry.height);
+  return std::make_shared<const chiplet::PackageModel>(geometry, chiplet::demo_coarse_spec(),
+                                                       config.thermal_load);
 }
 
 TEST(SimulateSpec, SubmodelThermalMatchesLegacyWithSharedPackage) {
   const core::SimulationConfig config = small_config();
   core::MoreStressSimulator sim(config);
 
-  // Pre-build the demo package once and hand it to both calls via the
+  // Pre-build the demo package once and hand it to both queries via the
   // payload slot — the same object the sweep engine would share.
-  const int padded = 2 + 2 * 1;
-  const chiplet::PackageGeometry geometry =
-      chiplet::demo_package_geometry(config.geometry.pitch, padded, config.geometry.height);
-  const auto package = std::make_shared<const chiplet::PackageModel>(
-      geometry, chiplet::demo_coarse_spec(), config.thermal_load);
+  const auto package = demo_package(config);
   const chiplet::SubmodelPlacement placement =
-      chiplet::standard_locations(package->geometry(), config.geometry.pitch, padded, padded)[1];
+      chiplet::standard_locations(package->geometry(), config.geometry.pitch, 4, 4)[1];
 
   ScenarioSpec spec;
   spec.kind = ScenarioKind::kSubmodel;
@@ -181,27 +216,25 @@ TEST(SimulateSpec, SubmodelThermalMatchesLegacyWithSharedPackage) {
   spec.placement = placement;
   spec.power.background = 15.0;
   spec.power.hotspot_peak = 250.0;
+  ScenarioSpec payload = spec;
+  payload.power_map = std::make_shared<thermal::PowerMap>(
+      make_power_map(spec, config, package->geometry(), placement));
 
-  const thermal::PowerMap power = make_power_map(spec, config, package->geometry(), placement);
-  const core::ThermalSubmodelResult legacy =
-      sim.simulate_submodel_thermal(2, 2, 1, *package, placement, power);
-  const ScenarioResult result = sim.simulate(spec);
+  const ScenarioResult synthesized = sim.simulate(spec);
+  const ScenarioResult result = sim.simulate(payload);
+  ASSERT_NE(synthesized.thermal_submodel, nullptr);
   ASSERT_NE(result.thermal_submodel, nullptr);
-  expect_bitwise(*result.thermal_submodel, legacy);
-  EXPECT_EQ(result.thermal_submodel->load.values(), legacy.load.values());
+  expect_bitwise(*result.thermal_submodel, *synthesized.thermal_submodel);
+  EXPECT_EQ(result.thermal_submodel->load.values(), synthesized.thermal_submodel->load.values());
 }
 
 TEST(SimulateSpec, SubmodelFatigueMatchesLegacy) {
   const core::SimulationConfig config = small_config();
   core::MoreStressSimulator sim(config);
 
-  const int padded = 2 + 2 * 1;
-  const chiplet::PackageGeometry geometry =
-      chiplet::demo_package_geometry(config.geometry.pitch, padded, config.geometry.height);
-  const auto package = std::make_shared<const chiplet::PackageModel>(
-      geometry, chiplet::demo_coarse_spec(), config.thermal_load);
+  const auto package = demo_package(config);
   const chiplet::SubmodelPlacement placement =
-      chiplet::standard_locations(package->geometry(), config.geometry.pitch, padded, padded)[0];
+      chiplet::standard_locations(package->geometry(), config.geometry.pitch, 4, 4)[0];
 
   ScenarioSpec spec;
   spec.kind = ScenarioKind::kSubmodel;
@@ -217,24 +250,20 @@ TEST(SimulateSpec, SubmodelFatigueMatchesLegacy) {
   spec.trace.period = 6e-5;
   spec.trace.duty = 0.5;
   spec.trace.cycles = 1;
+  ScenarioSpec payload = spec;
+  payload.power_trace = std::make_shared<thermal::PowerTrace>(make_power_trace(
+      spec, make_power_map(spec, config, package->geometry(), placement)));
 
-  const thermal::PowerTrace trace =
-      make_power_trace(spec, make_power_map(spec, config, package->geometry(), placement));
-  const core::FatigueResult legacy =
-      sim.simulate_submodel_fatigue(2, 2, 1, *package, placement, trace, spec.fatigue);
-  const ScenarioResult result = sim.simulate(spec);
+  const ScenarioResult synthesized = sim.simulate(spec);
+  const ScenarioResult result = sim.simulate(payload);
+  ASSERT_NE(synthesized.fatigue, nullptr);
   ASSERT_NE(result.fatigue, nullptr);
-  expect_bitwise(*result.fatigue, legacy);
-  EXPECT_EQ(result.fatigue->report.min_life_cycles, legacy.report.min_life_cycles);
+  expect_bitwise(*result.fatigue, *synthesized.fatigue);
+  EXPECT_EQ(result.fatigue->history.raw_data(), synthesized.fatigue->history.raw_data());
+  EXPECT_EQ(result.fatigue->report.min_life_cycles, synthesized.fatigue->report.min_life_cycles);
 }
 
-TEST(SimulateSpec, TimeStepOverrideMatchesAdjustedConfig) {
-  // A per-spec time_step override must be bit-identical to a simulator
-  // whose config carries that step outright.
-  core::SimulationConfig adjusted = small_config();
-  adjusted.coupling.transient.time_step = 1.5e-5;
-  core::MoreStressSimulator reference(adjusted);
-
+ScenarioSpec small_transient_spec() {
   ScenarioSpec spec;
   spec.analysis = AnalysisKind::kTransient;
   spec.load = LoadKind::kTrace;
@@ -244,18 +273,44 @@ TEST(SimulateSpec, TimeStepOverrideMatchesAdjustedConfig) {
   spec.trace.period = 6e-5;
   spec.trace.duty = 0.5;
   spec.trace.cycles = 1;
+  return spec;
+}
 
-  const thermal::PowerTrace trace =
-      make_power_trace(spec, make_power_map(spec, small_config()));
-  const core::ThermalTransientArrayResult legacy =
-      reference.simulate_array_thermal_transient(2, 2, trace, {});
+TEST(SimulateSpec, TimeStepOverrideMatchesAdjustedConfig) {
+  // A per-spec time_step override must be bit-identical to a simulator
+  // whose config carries that step outright.
+  core::SimulationConfig adjusted = small_config();
+  adjusted.coupling.transient.time_step = 1.5e-5;
+  core::MoreStressSimulator reference(adjusted);
+  ScenarioSpec spec = small_transient_spec();
+  const ScenarioResult expected = reference.simulate(spec);
 
   core::MoreStressSimulator sim(small_config());
   spec.time_step = 1.5e-5;
   const ScenarioResult result = sim.simulate(spec);
+  ASSERT_NE(expected.transient_array, nullptr);
   ASSERT_NE(result.transient_array, nullptr);
-  expect_bitwise(*result.transient_array, legacy);
-  EXPECT_EQ(result.transient_array->transient.times, legacy.transient.times);
+  expect_bitwise(*result.transient_array, *expected.transient_array);
+  EXPECT_EQ(result.transient_array->transient.times, expected.transient_array->transient.times);
+}
+
+TEST(SimulateSpec, TimeStepOverrideHonoursCancellation) {
+  // The override must run under the simulator's own cancel token: an
+  // already-cancelled query fails classified instead of running to the end.
+  for (const double time_step : {0.0, 1.5e-5}) {
+    core::MoreStressSimulator sim(small_config());
+    const core::CancelToken token = core::CancelToken::cancellable();
+    token.request_cancel();
+    sim.set_cancel_token(token);
+    ScenarioSpec spec = small_transient_spec();
+    spec.time_step = time_step;
+    try {
+      (void)sim.simulate(spec);
+      ADD_FAILURE() << "time_step=" << time_step << ": query ran to completion";
+    } catch (const core::SimError& e) {
+      EXPECT_EQ(e.code(), core::SimErrorCode::kCancelled) << "time_step=" << time_step;
+    }
+  }
 }
 
 }  // namespace

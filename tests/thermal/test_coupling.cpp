@@ -1,6 +1,6 @@
 // Conduction -> ROM coupling: power-map ΔT sanity on the array thermal
-// mesh, and the regression pinning simulate_array_thermal with a uniform
-// power map to the scalar-ΔT simulate_array path.
+// mesh, and the regression pinning a uniform power-map array scenario to the
+// scalar-ΔT scenario.
 
 #include <gtest/gtest.h>
 
@@ -10,9 +10,13 @@
 #include "core/simulator.hpp"
 #include "thermal/conduction_assembler.hpp"
 #include "thermal/thermal_solver.hpp"
+#include "util/scenario_specs.hpp"
 
 namespace ms::core {
 namespace {
+
+using testutil::array_spec;
+using testutil::with_power;
 
 /// Small, fast configuration shared by the coupling tests; the direct global
 /// solver removes iterative-tolerance noise from path comparisons.
@@ -32,7 +36,8 @@ TEST(ThermalCoupling, UniformPowerGivesUniformBlockDeltaT) {
   MoreStressSimulator sim(config);
   const thermal::PowerMap power =
       thermal::PowerMap::per_block(3, 3, config.geometry.pitch, 40.0);
-  const ThermalArrayResult result = sim.simulate_array_thermal(3, 3, power);
+  const ThermalArrayResult result =
+      *sim.simulate(with_power(array_spec(3, 3), power)).thermal_array;
 
   ASSERT_EQ(result.load.values().size(), 9u);
   for (double dt : result.load.values()) {
@@ -49,7 +54,8 @@ TEST(ThermalCoupling, HotspotHeatsCentreBlocksMost) {
   thermal::PowerMap power = thermal::PowerMap::per_block(5, 5, config.geometry.pitch, 5.0);
   const double mid = 2.5 * config.geometry.pitch;
   power.add_gaussian_hotspot(mid, mid, config.geometry.pitch, 400.0);
-  const ThermalArrayResult result = sim.simulate_array_thermal(5, 5, power);
+  const ThermalArrayResult result =
+      *sim.simulate(with_power(array_spec(5, 5), power)).thermal_array;
 
   const auto& dt = result.load.values();
   const double centre = dt[2 * 5 + 2];
@@ -84,13 +90,14 @@ TEST(ThermalCoupling, UniformPowerMatchesScalarDeltaTPath) {
   MoreStressSimulator sim(config);
   const thermal::PowerMap power =
       thermal::PowerMap::per_block(3, 3, config.geometry.pitch, 80.0);
-  const ThermalArrayResult coupled = sim.simulate_array_thermal(3, 3, power);
+  const ThermalArrayResult coupled =
+      *sim.simulate(with_power(array_spec(3, 3), power)).thermal_array;
 
   // Re-run the scalar-ΔT path at exactly the coupled ΔT.
   SimulationConfig scalar_config = test_config();
   scalar_config.thermal_load = coupled.load.values().front();
   MoreStressSimulator scalar_sim(scalar_config);
-  const ArrayResult scalar = scalar_sim.simulate_array(3, 3);
+  const ArrayResult scalar = *scalar_sim.simulate(array_spec(3, 3)).array;
 
   ASSERT_EQ(scalar.von_mises.size(), coupled.von_mises.size());
   double peak = 0.0;
@@ -106,9 +113,10 @@ TEST(ThermalCoupling, UniformLoadFieldMatchesScalarAssembly) {
   // must produce identical systems and fields.
   SimulationConfig config = test_config();
   MoreStressSimulator sim(config);
-  const ArrayResult a = sim.simulate_array(2, 2);
-  const ArrayResult b =
-      sim.simulate_array(2, 2, rom::BlockLoadField::uniform(config.thermal_load));
+  const ArrayResult a = *sim.simulate(array_spec(2, 2)).array;
+  const ArrayResult b = *sim.simulate(testutil::with_load(
+                            array_spec(2, 2), rom::BlockLoadField::uniform(config.thermal_load)))
+                            .array;
   ASSERT_EQ(a.von_mises.size(), b.von_mises.size());
   for (std::size_t i = 0; i < a.von_mises.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.von_mises[i], b.von_mises[i]);
@@ -120,7 +128,7 @@ TEST(ThermalCoupling, RejectsMismatchedPowerMapFootprint) {
   MoreStressSimulator sim(config);
   // A 2x2-block map would silently leave most of a 3x3 array unpowered.
   const thermal::PowerMap small = thermal::PowerMap::per_block(2, 2, config.geometry.pitch, 10.0);
-  EXPECT_THROW((void)sim.simulate_array_thermal(3, 3, small), std::invalid_argument);
+  EXPECT_THROW((void)sim.simulate(with_power(array_spec(3, 3), small)), std::invalid_argument);
 }
 
 TEST(ThermalCoupling, BlockLoadFieldValidatesExtent) {

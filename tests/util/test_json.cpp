@@ -10,6 +10,8 @@
 #include <sstream>
 #include <vector>
 
+#include "util/temp_path.hpp"
+
 namespace ms::util {
 namespace {
 
@@ -33,7 +35,7 @@ TEST(JsonObject, NumbersKeepPrecision) {
 }
 
 TEST(WriteBenchJson, ProducesTheStandardShape) {
-  const std::string path = ::testing::TempDir() + "bench_json_test.json";
+  const std::string path = testutil::unique_temp_path("_bench.json");
   std::vector<JsonObject> records(2);
   records[0].set("scenario", "array").set("edge", 8);
   records[1].set("scenario", "submodel").set("edge", 5);

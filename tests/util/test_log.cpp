@@ -11,6 +11,8 @@
 #include <unistd.h>
 #include <vector>
 
+#include "util/temp_path.hpp"
+
 namespace ms::util {
 namespace {
 
@@ -19,7 +21,7 @@ namespace {
 class StderrCapture {
  public:
   StderrCapture() {
-    path_ = ::testing::TempDir() + "ms_log_capture.txt";
+    path_ = testutil::unique_temp_path("_log_capture.txt");
     std::fflush(stderr);
     saved_fd_ = dup(fileno(stderr));
     FILE* file = std::freopen(path_.c_str(), "w", stderr);

@@ -24,6 +24,7 @@
 #include "fem/stress.hpp"
 #include "mesh/tsv_block.hpp"
 #include "rom/reconstruct.hpp"
+#include "util/scenario_specs.hpp"
 
 namespace ms::testutil {
 
@@ -94,7 +95,8 @@ inline double displacement_max_error(const std::vector<std::array<double, 3>>& r
 inline ValidationReport validate_array_thermal(const core::SimulationConfig& config, int blocks_x,
                                                int blocks_y, const thermal::PowerMap& power) {
   core::MoreStressSimulator sim(config);
-  const core::ThermalArrayResult rom = sim.simulate_array_thermal(blocks_x, blocks_y, power);
+  const core::ThermalArrayResult rom =
+      *sim.simulate(with_power(array_spec(blocks_x, blocks_y), power)).thermal_array;
 
   const mesh::HexMesh fine =
       mesh::build_array_mesh(config.geometry, config.mesh_spec, blocks_x, blocks_y);
@@ -142,8 +144,9 @@ inline TransientValidationReport validate_array_thermal_transient(
     const core::SimulationConfig& config, int blocks_x, int blocks_y,
     const thermal::PowerTrace& trace, const std::vector<int>& snapshot_steps) {
   core::MoreStressSimulator sim(config);
-  const core::ThermalTransientArrayResult rom =
-      sim.simulate_array_thermal_transient(blocks_x, blocks_y, trace, snapshot_steps);
+  sweep::ScenarioSpec spec = with_trace(array_spec(blocks_x, blocks_y), trace);
+  spec.snapshot_steps = snapshot_steps;
+  const core::ThermalTransientArrayResult rom = *sim.simulate(spec).transient_array;
 
   const mesh::HexMesh fine =
       mesh::build_array_mesh(config.geometry, config.mesh_spec, blocks_x, blocks_y);
@@ -191,8 +194,11 @@ inline ValidationReport validate_submodel_thermal(const core::SimulationConfig& 
                                                   int dummy_rings,
                                                   const thermal::PowerMap& power) {
   core::MoreStressSimulator sim(config);
-  const core::ThermalSubmodelResult rom = sim.simulate_submodel_thermal(
-      tsv_blocks_x, tsv_blocks_y, dummy_rings, package, placement, power);
+  const core::ThermalSubmodelResult rom =
+      *sim.simulate(with_power(in_package(submodel_spec(tsv_blocks_x, tsv_blocks_y, dummy_rings),
+                                          package, placement),
+                               power))
+           .thermal_submodel;
 
   const int bx = tsv_blocks_x + 2 * dummy_rings;
   const int by = tsv_blocks_y + 2 * dummy_rings;
