@@ -105,6 +105,18 @@ double MoreStressSimulator::prepare_local_stage(bool with_dummy) {
 
 namespace {
 
+/// The factorization options every factor-cache key renders: each changes
+/// the factor's values or sparsity, so callers differing only here must not
+/// share an entry. (parallel_numeric is excluded: the factor is bitwise
+/// identical with it on or off.)
+std::string factor_options_tag(const la::SparseCholesky::Options& factor) {
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "o%d_m%d_w%d_r%.17g", static_cast<int>(factor.ordering),
+                static_cast<int>(factor.method), static_cast<int>(factor.max_supernode_width),
+                factor.relax_supernodes);
+  return buf;
+}
+
 /// One place that maps GlobalSolveStats onto RunStats — the multi-load and
 /// fatigue panels must report solver detail identically.
 void copy_solve_stats(RunStats& stats, const rom::GlobalSolveStats& solve) {
@@ -158,14 +170,12 @@ std::string MoreStressSimulator::global_factor_key(const Window& window) {
   }
   h = util::fnv1a(window.mask, h);
   h = util::fnv1a(window.bc.dofs, h);
-  const la::SparseCholesky::Options& factor = config_.global.factor;
-  char buf[192];
-  std::snprintf(buf, sizeof(buf), "glob_b%dx%d_n%d%d%d_d%d_o%d_m%d_w%d_r%.3g_%016llx",
-                window.grid.blocks_x(), window.grid.blocks_y(), config_.local.nodes_x,
-                config_.local.nodes_y, config_.local.nodes_z, window.uses_dummy ? 1 : 0,
-                static_cast<int>(factor.ordering), static_cast<int>(factor.method),
-                static_cast<int>(factor.max_supernode_width),
-                factor.relax_supernodes, static_cast<unsigned long long>(h));
+  char buf[224];
+  std::snprintf(buf, sizeof(buf), "glob_b%dx%d_n%d%d%d_d%d_%s_%016llx", window.grid.blocks_x(),
+                window.grid.blocks_y(), config_.local.nodes_x, config_.local.nodes_y,
+                config_.local.nodes_z, window.uses_dummy ? 1 : 0,
+                factor_options_tag(config_.global.factor).c_str(),
+                static_cast<unsigned long long>(h));
   return buf;
 }
 
@@ -189,7 +199,8 @@ ArrayResult MoreStressSimulator::run_panel(const Window& window,
 
   rom::GlobalSolveOptions solve_options = config_.global;
   solve_options.cancel = cancel_;
-  const bool cache_global = factor_cache_ != nullptr && solve_options.method == "direct";
+  const bool cache_global = factor_cache_ != nullptr && fem::parse_solve_method(
+                                solve_options.method) == fem::SolveMethod::kDirect;
   if (cache_global) {
     solve_options.factor_cache = factor_cache_;
     solve_options.factor_key = global_factor_key(window);
@@ -320,18 +331,19 @@ chiplet::PackageThermalSpec package_thermal_spec(const ThermalCouplingOptions& c
 /// Factor-cache key of a steady conduction solve. The conductivity fields
 /// fingerprint the geometry, materials, layout, and conductivity model; the
 /// mesh dimensions and film coefficient fix the sparsity pattern and the
-/// constrained-dof set (film == 0 means a Dirichlet sink on the z-min face).
-/// The sink *temperature* and the power input are rhs-only and excluded.
+/// constrained-dof set (film == 0 means a Dirichlet sink on the z-min face);
+/// the factorization options are rendered like the global key's. The sink
+/// *temperature* and the power input are rhs-only and excluded.
 std::string thermal_steady_key(const mesh::HexMesh& mesh,
                                const thermal::ConductivityField& conductivity,
                                const thermal::ThermalSolveOptions& solve) {
   std::uint64_t h = util::fnv1a(conductivity.in_plane);
   h = util::fnv1a(conductivity.through_plane, h);
-  char buf[192];
-  std::snprintf(buf, sizeof(buf), "thermS_n%lld_e%lld_f%.17g_o%d_m%d_%016llx",
+  char buf[224];
+  std::snprintf(buf, sizeof(buf), "thermS_n%lld_e%lld_f%.17g_%s_%016llx",
                 static_cast<long long>(mesh.num_nodes()), static_cast<long long>(mesh.num_elems()),
-                solve.sink_film_coefficient, static_cast<int>(solve.factor.ordering),
-                static_cast<int>(solve.factor.method), static_cast<unsigned long long>(h));
+                solve.sink_film_coefficient, factor_options_tag(solve.factor).c_str(),
+                static_cast<unsigned long long>(h));
   return buf;
 }
 
@@ -344,12 +356,13 @@ std::string thermal_transient_key(const mesh::HexMesh& mesh,
   std::uint64_t h = util::fnv1a(conductivity.in_plane);
   h = util::fnv1a(conductivity.through_plane, h);
   h = util::fnv1a(capacities, h);
-  char buf[224];
-  std::snprintf(buf, sizeof(buf), "thermT_n%lld_e%lld_f%.17g_dt%.17g_%s_l%d_o%d_m%d_%016llx",
+  char buf[288];
+  std::snprintf(buf, sizeof(buf), "thermT_n%lld_e%lld_f%.17g_dt%.17g_%s_l%d_%s_%016llx",
                 static_cast<long long>(mesh.num_nodes()), static_cast<long long>(mesh.num_elems()),
                 options.base.sink_film_coefficient, options.time_step, options.scheme.c_str(),
-                options.lumped_capacitance ? 1 : 0, static_cast<int>(options.base.factor.ordering),
-                static_cast<int>(options.base.factor.method), static_cast<unsigned long long>(h));
+                options.lumped_capacitance ? 1 : 0,
+                factor_options_tag(options.base.factor).c_str(),
+                static_cast<unsigned long long>(h));
   return buf;
 }
 

@@ -1,15 +1,11 @@
 #include "fem/solver.hpp"
 
-#include <stdexcept>
 #include <utility>
 
-#include "la/cg.hpp"
-#include "la/cholesky.hpp"
-#include "la/precond.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/log.hpp"
 #include "util/memory.hpp"
+#include "util/timer.hpp"
 
 namespace ms::fem {
 
@@ -30,71 +26,34 @@ void publish_fem_stats(const FemSolveStats& s) {
   reg.gauge("fem.fill_ratio").set(s.fill_ratio);
 }
 
-/// Shared tail of every entry point: lift the Dirichlet data into the
-/// already-assembled system, solve all load cases against the one operator
-/// (direct: one factorization + one multi-RHS panel; cg: loop), and fill the
-/// stats record. The single-case wrappers delegate here so both paths stay
-/// one implementation.
+/// Shared tail of every entry point: solve all load cases against the one
+/// assembled operator through the lifted solve path and fill the stats
+/// record. The single-case wrappers delegate here.
 std::vector<Vec> solve_assembled_cases(AssembledSystem& sys, std::vector<Vec> rhs_cases,
                                        const DirichletBc& bc, const FemSolveOptions& options,
                                        FemSolveStats* stats, util::WallTimer& timer) {
   MS_TRACE_SCOPE("fem.solve");
-  apply_dirichlet(sys.stiffness, rhs_cases, bc);
-  const double assemble_seconds = timer.seconds();
-  FemSolveStats local;
+  SolveSpec spec;
+  spec.method = parse_solve_method(options.method);
+  spec.factor.stage = "fem";
+  spec.factor.options = options.factor;
+  // The reference must solve the exact operator: a shifted factor is no oracle.
+  spec.factor.shift_retry.enabled = false;
+  spec.precond = options.precond;
+  spec.krylov.rel_tol = options.rel_tol;
+  spec.krylov.max_iterations = options.max_iterations;
 
+  FemSolveStats local;
+  local.assemble_seconds = timer.seconds();
   util::ScopedLedgerBytes matrix_mem(sys.stiffness.memory_bytes() +
                                      (rhs_cases.size() + 1) * rhs_cases.front().size() *
                                          sizeof(double));
-
   timer.reset();
-  const idx_t num_cases = static_cast<idx_t>(rhs_cases.size());
-  std::vector<Vec> solutions(rhs_cases.size());
-  idx_t iterations = 0;
-  bool converged = false;
-  std::size_t solver_bytes = 0;
-  if (options.method == "direct") {
-    la::SparseCholesky chol(sys.stiffness, options.factor);
-    const double factor_seconds = timer.seconds();
-    solutions = chol.solve_multi(rhs_cases);
-    converged = true;
-    solver_bytes = chol.memory_bytes();
-    local.factor_seconds = factor_seconds;
-    local.factor_nnz = chol.factor_nnz();
-    local.fill_ratio = chol.fill_ratio();
-    local.ordering = chol.ordering_name();
-  } else if (options.method == "cg") {
-    auto precond = la::make_preconditioner(options.precond, sys.stiffness);
-    la::IterativeOptions iter_options;
-    iter_options.rel_tol = options.rel_tol;
-    iter_options.max_iterations = options.max_iterations;
-    converged = true;
-    for (idx_t c = 0; c < num_cases; ++c) {
-      const la::IterativeResult result = la::conjugate_gradient(
-          sys.stiffness, rhs_cases[c], solutions[c], precond.get(), iter_options);
-      iterations += result.iterations;
-      converged = converged && result.converged;
-      if (!result.converged) {
-        MS_LOG_WARN("full FEM CG (case %d) did not converge in %d iterations (residual %.3e)",
-                    static_cast<int>(c), static_cast<int>(result.iterations),
-                    result.residual_norm);
-      }
-    }
-    // Krylov workspace: x, r, z, p, Ap + preconditioner state.
-    solver_bytes =
-        5 * rhs_cases.front().size() * sizeof(double) + precond->memory_bytes();
-  } else {
-    throw std::invalid_argument("solve_thermal_stress: unknown method '" + options.method + "'");
-  }
-  util::ScopedLedgerBytes solver_mem(solver_bytes);
+  std::vector<Vec> solutions = solve_lifted(sys.stiffness, rhs_cases, bc, spec, local);
+  util::ScopedLedgerBytes solver_mem(local.solver_bytes);
 
   local.num_dofs = sys.num_dofs;
-  local.assemble_seconds = assemble_seconds;
   local.solve_seconds = timer.seconds();
-  local.iterations = iterations;
-  local.converged = converged;
-  local.matrix_bytes = sys.stiffness.memory_bytes();
-  local.solver_bytes = solver_bytes;
   publish_fem_stats(local);
   if (stats != nullptr) *stats = local;
   return solutions;

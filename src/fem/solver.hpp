@@ -1,41 +1,38 @@
 #pragma once
 // Full fine-mesh FEM solver — the ANSYS stand-in (see DESIGN.md Sec. 2).
-// Assembles the thermoelastic system on the given mesh, applies Dirichlet
-// data by lifting, and solves with preconditioned CG (like the paper's
-// "iterative" ANSYS setting) or sparse Cholesky for small problems.
+// Assembles the thermoelastic system on the given mesh, then lifts the
+// Dirichlet data and solves through the one lifted solve path
+// (fem/linear_solve.hpp): preconditioned CG (like the paper's "iterative"
+// ANSYS setting) or sparse Cholesky for small problems. As the accuracy
+// oracle it factors with shift-retry off, so it always solves the exact
+// operator (DESIGN.md).
 
 #include <string>
 #include <vector>
 
 #include "fem/assembler.hpp"
 #include "fem/dirichlet.hpp"
+#include "fem/linear_solve.hpp"
 #include "la/cholesky.hpp"
-#include "util/timer.hpp"
 
 namespace ms::fem {
 
 struct FemSolveOptions {
-  std::string method = "cg";      ///< "cg" or "direct"
-  std::string precond = "ssor";   ///< for cg: "none", "jacobi", "ssor"
+  std::string method = "cg";      ///< "cg", "gmres" or "direct"
+  std::string precond = "ssor";   ///< iterative paths: "none", "jacobi", "ssor"
   double rel_tol = 1e-7;
   idx_t max_iterations = 30000;
   /// Direct-path factorization: ordering + supernodal/simplicial back end.
   la::SparseCholesky::Options factor;
 };
 
-struct FemSolveStats {
+/// The shared solve outcome (fem::SolveStats) plus the assembly time. A
+/// Krylov breakdown throws core::SimError(kDidNotConverge); running out of
+/// iterations only warns and leaves `converged` false.
+struct FemSolveStats : SolveStats {
   idx_t num_dofs = 0;
   double assemble_seconds = 0.0;
   double solve_seconds = 0.0;
-  idx_t iterations = 0;           ///< 0 for the direct path
-  bool converged = false;
-  std::size_t matrix_bytes = 0;   ///< CSR storage
-  std::size_t solver_bytes = 0;   ///< factor / Krylov workspace estimate
-  // Direct-path factorization detail (zero / empty on the cg path):
-  double factor_seconds = 0.0;    ///< the one Cholesky factorization
-  la::offset_t factor_nnz = 0;    ///< nnz(L), diagonal included
-  double fill_ratio = 0.0;        ///< nnz(L) / nnz(tril(A))
-  std::string ordering;           ///< "amd" / "rcm" / "natural"
   [[nodiscard]] double total_seconds() const { return assemble_seconds + solve_seconds; }
   [[nodiscard]] std::size_t total_bytes() const { return matrix_bytes + solver_bytes; }
 };

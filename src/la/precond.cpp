@@ -65,7 +65,8 @@ std::unique_ptr<Preconditioner> make_preconditioner(const std::string& name, con
   if (name == "none") return std::make_unique<IdentityPreconditioner>();
   if (name == "jacobi") return std::make_unique<JacobiPreconditioner>(a);
   if (name == "ssor") return std::make_unique<SsorPreconditioner>(a);
-  throw std::invalid_argument("make_preconditioner: unknown preconditioner '" + name + "'");
+  throw std::invalid_argument("make_preconditioner: unknown preconditioner '" + name +
+                              "' (valid: none, jacobi, ssor)");
 }
 
 }  // namespace ms::la

@@ -1,12 +1,16 @@
 #pragma once
 // Solve the reduced global system (paper Eq. 20). The lifted system is SPD,
 // so preconditioned CG is the default; GMRES (the paper's choice) and a
-// sparse direct path are available for the solver ablation.
+// sparse direct path are available for the solver ablation. Lifting,
+// factorization and the Krylov loop run through the one lifted solve path,
+// fem/linear_solve.hpp; this layer adds the stats publishing and the
+// solution fault probe.
 
 #include <string>
 #include <vector>
 
 #include "core/cancel.hpp"
+#include "fem/linear_solve.hpp"
 #include "la/cholesky.hpp"
 #include "la/factor_cache.hpp"
 #include "la/shift_retry.hpp"
@@ -42,28 +46,14 @@ struct GlobalSolveOptions {
   core::CancelToken cancel;
 };
 
-struct GlobalSolveStats {
+/// The shared solve outcome (converged, iterations, byte counts and the
+/// factor detail of fem::SolveStats) plus this layer's totals. Breakdown of
+/// an iterative path throws core::SimError(kDidNotConverge); running out of
+/// iterations only warns and leaves `converged` false.
+struct GlobalSolveStats : fem::SolveStats {
   idx_t num_dofs = 0;
   double solve_seconds = 0.0;     ///< total: factorization + triangular solves
-  idx_t iterations = 0;
-  bool converged = false;
   idx_t num_rhs = 0;              ///< right-hand sides solved in this call
-  /// Factorizations performed: 1 on the direct path no matter how many RHS
-  /// (the batching invariant fatigue runs assert), 0 on iterative paths.
-  int num_factorizations = 0;
-  std::size_t matrix_bytes = 0;
-  std::size_t solver_bytes = 0;
-  // Direct-path factorization detail (zero / empty on iterative paths):
-  double factor_seconds = 0.0;    ///< the one Cholesky factorization
-  double triangular_seconds = 0.0;///< forward/backward substitutions only
-  la::offset_t factor_nnz = 0;    ///< nnz(L), diagonal included
-  double fill_ratio = 0.0;        ///< nnz(L) / nnz(tril(A))
-  idx_t num_supernodes = 0;       ///< 0 on the simplicial back end
-  std::string ordering;           ///< "amd" / "rcm" / "natural"
-  /// Set when the factorization needed the diagonal shift-retry ladder: the
-  /// solution solves A + shift*I, not A (close, but not the exact operator).
-  bool degraded = false;
-  double diagonal_shift = 0.0;
 };
 
 /// Apply `bc` by lifting, then solve. Returns the nodal displacement vector.

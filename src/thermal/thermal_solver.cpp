@@ -6,12 +6,8 @@
 #include <memory>
 #include <stdexcept>
 
-#include "core/sim_error.hpp"
 #include "fem/dirichlet.hpp"
-#include "la/cg.hpp"
-#include "la/cholesky.hpp"
-#include "la/precond.hpp"
-#include "la/shift_retry.hpp"
+#include "fem/linear_solve.hpp"
 #include "obs/metrics.hpp"
 #include "obs/query_scope.hpp"
 #include "obs/trace.hpp"
@@ -59,6 +55,19 @@ void publish_transient_stats(const TransientSolveStats& s) {
   obs::QueryScope::observe_seconds("thermal.transient.step_seconds", s.step_seconds);
 }
 
+/// The factorization half of the options, shared by the steady direct path
+/// and the θ-stepper.
+fem::FactorSpec factor_spec(const ThermalSolveOptions& options, const char* stage) {
+  fem::FactorSpec spec;
+  spec.stage = stage;
+  spec.options = options.factor;
+  spec.shift_retry = options.shift_retry;
+  spec.cancel = options.cancel;
+  spec.cache = options.factor_cache;
+  spec.key = options.factor_key;
+  return spec;
+}
+
 }  // namespace
 
 TemperatureField solve_power_map(const mesh::HexMesh& mesh, const Vec& conductivity_per_elem,
@@ -76,33 +85,39 @@ TemperatureField solve_power_map(const mesh::HexMesh& mesh, const ConductivityFi
         "solve_power_map: sink film coefficient must be >= 0 (0 = ideal sink)");
   }
   MS_TRACE_SCOPE("thermal.steady.solve");
-  const bool use_cache = options.method == "direct" && options.factor_cache != nullptr &&
-                         !options.factor_key.empty();
+  fem::SolveSpec spec;
+  spec.method = fem::parse_solve_method(options.method);
+  spec.factor = factor_spec(options, "thermal.steady");
+  spec.krylov.rel_tol = options.rel_tol;
+  spec.krylov.max_iterations = options.max_iterations;
+  spec.initial_guess = options.ambient;  // warm start at the sink value
+  spec.throw_on_stall = true;
   ThermalSolveStats local;
   util::WallTimer timer;
   la::TripletList triplets;
-  Vec rhs;
+  std::vector<Vec> rhs(1);
   fem::DirichletBc bc;
   CsrMatrix k;
   // On a resident cache hit the operator never needs assembling — only the
   // load vector and the constrained-dof set (the cached entry keeps the
-  // unlifted matrix for the rhs lifting below).
-  const bool skip_matrix = use_cache && options.factor_cache->contains(options.factor_key);
+  // unlifted matrix for the rhs lifting).
+  const bool skip_matrix = spec.method == fem::SolveMethod::kDirect && spec.factor.cached() &&
+                           spec.factor.cache->contains(spec.factor.key);
   {
     MS_TRACE_SCOPE("thermal.steady.assemble");
     if (!skip_matrix) {
       triplets = conduction_triplets(mesh, conductivity.in_plane, conductivity.through_plane);
     }
-    rhs = assemble_power_load(mesh, power);
+    rhs.front() = assemble_power_load(mesh, power);
 
     if (options.sink_film_coefficient > 0.0) {
       if (skip_matrix) {
         la::TripletList film_triplets;
         add_convective_face(mesh, options.sink_film_coefficient, options.ambient, /*face=*/0,
-                            film_triplets, rhs);
+                            film_triplets, rhs.front());
       } else {
         add_convective_face(mesh, options.sink_film_coefficient, options.ambient, /*face=*/0,
-                            triplets, rhs);
+                            triplets, rhs.front());
       }
     } else {
       // Ideal sink: the whole z-min face held at ambient.
@@ -113,87 +128,17 @@ TemperatureField solve_power_map(const mesh::HexMesh& mesh, const ConductivityFi
       }
     }
 
-    if (!skip_matrix) {
-      k = CsrMatrix::from_triplets(triplets);
-      if (!use_cache) fem::apply_dirichlet(k, rhs, bc);
-    }
+    if (!skip_matrix) k = CsrMatrix::from_triplets(triplets);
   }
   local.num_dofs = static_cast<idx_t>(mesh.num_nodes());
   local.assemble_seconds = timer.seconds();
 
   timer.reset();
-  Vec t;
-  if (use_cache) {
-    // Memoized direct path: bit-identical to the uncached branch below —
-    // the split lifting reproduces the fused one (fem/dirichlet.hpp) and
-    // solve() is solve_with() on the member scratch.
-    bool built = false;
-    const la::FactorCache::Entry entry = options.factor_cache->get_or_create(
-        options.factor_key,
-        [&]() {
-          options.cancel.check("thermal.steady.factor_build");
-          la::FactorCache::Entry fresh;
-          fresh.matrix = std::make_shared<la::CsrMatrix>(k);
-          fem::apply_dirichlet_matrix(k, bc);
-          la::ShiftRetryResult factored = la::factor_with_shift_retry(
-              k, options.factor, options.shift_retry, "thermal.steady.factor");
-          fresh.factor = std::move(factored.factor);
-          fresh.diagonal_shift = factored.shift;
-          return fresh;
-        },
-        &built);
-    (void)built;
-    local.degraded = entry.diagonal_shift != 0.0;
-    local.diagonal_shift = entry.diagonal_shift;
-    local.factor_seconds = timer.seconds();
-    local.factor_nnz = entry.factor->factor_nnz();
-    local.fill_ratio = entry.factor->fill_ratio();
-    local.ordering = entry.factor->ordering_name();
-    fem::apply_dirichlet_rhs(*entry.matrix, rhs, bc);
-    Vec scratch;
-    entry.factor->solve_with(rhs, t, scratch);
-    local.iterations = 0;
-    local.converged = true;
-  } else if (options.method == "direct") {
-    options.cancel.check("thermal.steady.factor");
-    la::ShiftRetryResult factored =
-        la::factor_with_shift_retry(k, options.factor, options.shift_retry,
-                                    "thermal.steady.factor");
-    const la::SparseCholesky& chol = *factored.factor;
-    local.degraded = factored.degraded();
-    local.diagonal_shift = factored.shift;
-    local.factor_seconds = timer.seconds();
-    local.factor_nnz = chol.factor_nnz();
-    local.fill_ratio = chol.fill_ratio();
-    local.ordering = chol.ordering_name();
-    t = chol.solve(rhs);
-    local.iterations = 0;
-    local.converged = true;
-  } else if (options.method == "cg") {
-    t.assign(rhs.size(), options.ambient);  // warm start at the sink value
-    const la::JacobiPreconditioner precond(k);
-    la::IterativeOptions iter;
-    iter.rel_tol = options.rel_tol;
-    iter.max_iterations = options.max_iterations;
-    iter.use_initial_guess = true;
-    const la::IterativeResult result = la::conjugate_gradient(k, rhs, t, &precond, iter);
-    if (!result.converged) {
-      throw core::SimError(
-          core::SimErrorCode::kDidNotConverge, "thermal.steady.solve",
-          result.breakdown ? std::string("CG breakdown: ") + result.breakdown_reason
-                           : std::string("CG did not converge"),
-          "iterations=" + std::to_string(result.iterations) +
-              " residual=" + std::to_string(result.residual_norm));
-    }
-    local.iterations = result.iterations;
-    local.converged = result.converged;
-  } else {
-    throw std::invalid_argument("solve_power_map: method must be 'cg' or 'direct'");
-  }
+  std::vector<Vec> t = fem::solve_lifted(k, rhs, bc, spec, local);
   local.solve_seconds = timer.seconds();
   publish_steady_stats(local);
   if (stats != nullptr) *stats = local;
-  return TemperatureField(mesh, std::move(t));
+  return TemperatureField(mesh, std::move(t.front()));
 }
 
 TemperatureField solve_power_map(const mesh::HexMesh& mesh, const fem::MaterialTable& materials,
@@ -331,40 +276,13 @@ TransientTemperatureResult solve_power_trace(const mesh::HexMesh& mesh,
   local.assemble_seconds = timer.seconds();
   assemble_span.end();
 
-  timer.reset();
   // The stepping operator's factorization is shareable across traces: the
   // assembly above is cheap and the unlifted A is needed for the correction
-  // term regardless, so only the factor itself is memoized (Entry.matrix
-  // stays null). solve_with(scratch) below is solve_inplace's own backend,
-  // so warm and cold steps are bitwise identical.
-  options.base.cancel.check("thermal.transient.factor");
-  std::shared_ptr<const la::SparseCholesky> factor;
-  const bool use_cache = options.base.factor_cache != nullptr && !options.base.factor_key.empty();
-  if (use_cache) {
-    const la::FactorCache::Entry entry = options.base.factor_cache->get_or_create(
-        options.base.factor_key, [&]() {
-          options.base.cancel.check("thermal.transient.factor_build");
-          la::FactorCache::Entry fresh;
-          la::ShiftRetryResult factored = la::factor_with_shift_retry(
-              a, options.base.factor, options.base.shift_retry, "thermal.transient.factor");
-          fresh.factor = std::move(factored.factor);
-          fresh.diagonal_shift = factored.shift;
-          return fresh;
-        });
-    factor = entry.factor;
-    local.degraded = entry.diagonal_shift != 0.0;
-    local.diagonal_shift = entry.diagonal_shift;
-  } else {
-    la::ShiftRetryResult factored = la::factor_with_shift_retry(
-        a, options.base.factor, options.base.shift_retry, "thermal.transient.factor");
-    factor = factored.factor;
-    local.degraded = factored.degraded();
-    local.diagonal_shift = factored.shift;
-  }
-  local.factor_seconds = timer.seconds();
-  local.factor_nnz = factor->factor_nnz();
-  local.fill_ratio = factor->fill_ratio();
-  local.ordering = factor->ordering_name();
+  // term regardless, so only the factor itself is memoized (no bc is handed
+  // over, so no unlifted copy is kept). solve_with(scratch) below is
+  // solve_inplace's own backend, so warm and cold steps are bitwise identical.
+  const std::shared_ptr<const la::SparseCholesky> factor =
+      fem::factor_spd(a, nullptr, factor_spec(options.base, "thermal.transient"), local).factor;
 
   obs::ScopedSpan step_span("thermal.transient.step");
   timer.reset();

@@ -4,10 +4,11 @@
 // enters at the z-max face (the active layer), leaves at the z-min face into
 // the heat sink / substrate — either an ideal (Dirichlet) sink at ambient or
 // a convective film — and the lateral faces are adiabatic. Steady state is
-// solved with the same la:: CG / sparse Cholesky stack as the mechanical
-// problems; the transient θ-scheme factorizes M/Δt + θK once and re-solves
-// per step, so a trace of hundreds of steps costs one factorization plus
-// that many triangular solves.
+// solved through the one lifted solve path shared with the mechanical
+// problems (fem/linear_solve.hpp); the transient θ-scheme factorizes
+// M/Δt + θK once through the same factor step and re-solves per step, so a
+// trace of hundreds of steps costs one factorization plus that many
+// triangular solves.
 
 #include <cstdint>
 #include <limits>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "core/cancel.hpp"
+#include "fem/linear_solve.hpp"
 #include "fem/material.hpp"
 #include "la/cholesky.hpp"
 #include "la/factor_cache.hpp"
@@ -28,7 +30,9 @@
 namespace ms::thermal {
 
 struct ThermalSolveOptions {
-  std::string method = "cg";     ///< "cg" or "direct"
+  /// "cg", "gmres" or "direct". The iterative paths use Jacobi, start at
+  /// `ambient`, and throw core::SimError(kDidNotConverge) on non-convergence.
+  std::string method = "cg";
   double rel_tol = 1e-10;
   idx_t max_iterations = 20000;
   double ambient = 25.0;         ///< sink / ambient temperature [C]
@@ -39,7 +43,7 @@ struct ThermalSolveOptions {
   /// supernodal/simplicial back end.
   la::SparseCholesky::Options factor;
   /// Cross-call factorization memoization (direct path and θ-stepper only;
-  /// cg ignores it). When `factor_cache` is set and `factor_key` non-empty,
+  /// the iterative paths ignore it). When `factor_cache` is set and `factor_key` non-empty,
   /// the factorization is shared under the key. The key must determine the
   /// assembled operator (mesh, conductivities, film coefficient — and for
   /// the stepper: capacities, Δt, scheme, lumping) plus the constrained-dof
@@ -54,20 +58,11 @@ struct ThermalSolveOptions {
   core::CancelToken cancel;
 };
 
-struct ThermalSolveStats {
+/// The shared solve outcome (fem::SolveStats) plus the assembly time.
+struct ThermalSolveStats : fem::SolveStats {
   idx_t num_dofs = 0;
   double assemble_seconds = 0.0;
   double solve_seconds = 0.0;
-  idx_t iterations = 0;          ///< 0 on the direct path
-  bool converged = false;
-  // Direct-path factorization detail (zero / empty on the cg path):
-  double factor_seconds = 0.0;
-  la::offset_t factor_nnz = 0;
-  double fill_ratio = 0.0;
-  std::string ordering;
-  /// Set when the factorization needed the diagonal shift-retry ladder.
-  bool degraded = false;
-  double diagonal_shift = 0.0;
   [[nodiscard]] double total_seconds() const { return assemble_seconds + solve_seconds; }
 };
 
@@ -111,18 +106,13 @@ struct TransientSolveOptions {
   ThermalSolveOptions base;
 };
 
-struct TransientSolveStats {
+/// The stepping factorization's detail (fem::FactorStats: the one
+/// M/Δt + θK factorization) plus assembly and stepping times.
+struct TransientSolveStats : fem::FactorStats {
   idx_t num_dofs = 0;
   int num_steps = 0;
   double assemble_seconds = 0.0;
-  double factor_seconds = 0.0;   ///< the one M/Δt + θK factorization
   double step_seconds = 0.0;     ///< all per-step rhs builds + triangular solves
-  la::offset_t factor_nnz = 0;   ///< nnz(L) of the stepping operator
-  double fill_ratio = 0.0;       ///< nnz(L) / nnz(tril(M/Δt + θK))
-  std::string ordering;          ///< ordering used by the factorization
-  /// Set when the stepping factorization needed the shift-retry ladder.
-  bool degraded = false;
-  double diagonal_shift = 0.0;
   [[nodiscard]] double total_seconds() const {
     return assemble_seconds + factor_seconds + step_seconds;
   }

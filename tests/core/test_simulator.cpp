@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-
+#include <cstdint>
 #include <filesystem>
 
 #include "core/report.hpp"
+#include "la/factor_cache.hpp"
+#include "sweep/scenario_result.hpp"
 #include "util/scenario_specs.hpp"
 
 namespace ms::core {
@@ -91,6 +93,55 @@ TEST(Simulator, SubmodelRejectsNegativeRings) {
   const auto zero = [](const mesh::Point3&) { return std::array<double, 3>{0, 0, 0}; };
   EXPECT_THROW((void)sim.simulate(with_displacement(submodel_spec(2, 2, -1), zero)),
                std::invalid_argument);
+}
+
+TEST(Simulator, ConductionFactorKeysCoverFactorOptions) {
+  // Two simulators share one factor cache and differ only in the conduction
+  // factorization's supernode relaxation, which changes the factor. The
+  // second one must build its own conduction factor (the global stage's
+  // options are equal, so its factor is shared) and match an uncached run
+  // bit for bit, for the steady key and for the θ-stepper key.
+  SimulationConfig base = small_config();
+  base.global.method = "direct";
+  base.coupling.solve.method = "direct";
+  SimulationConfig relaxed = base;
+  relaxed.coupling.solve.factor.relax_supernodes = 0.5;
+
+  sweep::ScenarioSpec steady = array_spec(4, 4);
+  steady.load = sweep::LoadKind::kPower;
+  steady.power.background = 25.0;
+  steady.power.hotspot_peak = 300.0;
+  sweep::ScenarioSpec transient = steady;
+  transient.analysis = sweep::AnalysisKind::kTransient;
+  transient.load = sweep::LoadKind::kTrace;
+
+  for (const sweep::ScenarioSpec& spec : {steady, transient}) {
+    la::FactorCache cache;
+    MoreStressSimulator first(base);
+    first.set_factor_cache(&cache);
+    (void)first.simulate(spec);
+    const std::uint64_t misses = cache.misses();
+
+    MoreStressSimulator second(relaxed);
+    second.set_factor_cache(&cache);
+    const sweep::ScenarioResult shared = second.simulate(spec);
+    EXPECT_EQ(cache.misses(), misses + 1);
+
+    MoreStressSimulator uncached(relaxed);
+    const sweep::ScenarioResult fresh = uncached.simulate(spec);
+    EXPECT_EQ(shared.base().von_mises, fresh.base().von_mises);
+    if (spec.analysis == sweep::AnalysisKind::kSteady) {
+      EXPECT_EQ(shared.thermal_array->thermal_stats.factor_nnz,
+                fresh.thermal_array->thermal_stats.factor_nnz);
+      EXPECT_EQ(shared.thermal_array->temperature.nodal(),
+                fresh.thermal_array->temperature.nodal());
+    } else {
+      EXPECT_EQ(shared.transient_array->thermal_stats.factor_nnz,
+                fresh.transient_array->thermal_stats.factor_nnz);
+      EXPECT_EQ(shared.transient_array->transient.block_delta_t,
+                fresh.transient_array->transient.block_delta_t);
+    }
+  }
 }
 
 TEST(Simulator, StressScalesLinearlyWithThermalLoad) {

@@ -61,7 +61,7 @@ TEST(MaterialTable, StandardSetMapsIds) {
   EXPECT_EQ(table.at(mesh::MaterialId::Copper).name, "Cu");
   EXPECT_EQ(table.at(mesh::MaterialId::Liner).name, "SiO2");
   EXPECT_EQ(table.at(mesh::MaterialId::Organic).name, "organic");
-  EXPECT_THROW(table.at(static_cast<mesh::MaterialId>(9)), std::out_of_range);
+  EXPECT_THROW((void)table.at(static_cast<mesh::MaterialId>(9)), std::out_of_range);
 }
 
 TEST(MaterialTable, CopperExpandsMoreThanSilicon) {

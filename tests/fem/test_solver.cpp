@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <string>
 
 #include "fem/stress.hpp"
 #include "mesh/grading.hpp"
 #include "mesh/tsv_block.hpp"
+#include "rom/global_solver.hpp"
+#include "thermal/thermal_solver.hpp"
 
 namespace ms::fem {
 namespace {
@@ -113,12 +117,56 @@ TEST(Solver, TsvBlockPeakStressAtViaInterface) {
 }
 
 TEST(Solver, UnknownMethodThrows) {
+  // Every layer parses its names through the one lifted solve path, so an
+  // unknown method or preconditioner fails the same way in each: an
+  // invalid_argument naming the valid set.
+  const auto expect_rejected = [](const std::function<void()>& solve, const char* valid_set) {
+    try {
+      solve();
+      ADD_FAILURE() << "no exception; expected one naming " << valid_set;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(valid_set), std::string::npos) << e.what();
+    }
+  };
+  const char* methods = "cg, gmres, direct";
+  const char* preconds = "none, jacobi, ssor";
+
   const mesh::HexMesh m = box_mesh(2);
   const MaterialTable table = MaterialTable::standard();
   const DirichletBc bc = DirichletBc::clamp_nodes(m.top_bottom_nodes());
-  FemSolveOptions options;
-  options.method = "multigrid";
-  EXPECT_THROW(solve_thermal_stress(m, table, -1.0, bc, options), std::invalid_argument);
+  FemSolveOptions fem_options;
+  fem_options.method = "multigrid";
+  expect_rejected([&] { (void)solve_thermal_stress(m, table, -1.0, bc, fem_options); }, methods);
+  fem_options.method = "cg";
+  fem_options.precond = "ilu";
+  expect_rejected([&] { (void)solve_thermal_stress(m, table, -1.0, bc, fem_options); },
+                  preconds);
+
+  thermal::ThermalSolveOptions thermal_options;
+  thermal_options.method = "multigrid";
+  expect_rejected(
+      [&] { (void)thermal::solve_power_map(m, table, thermal::PowerMap(1, 1, 1.0, 1.0, 1.0),
+                                           thermal_options); },
+      methods);
+
+  const auto global_problem = [] {
+    la::TripletList t(2, 2);
+    t.add(0, 0, 2.0);
+    t.add(1, 1, 2.0);
+    return rom::GlobalProblem{CsrMatrix::from_triplets(t), Vec(2, 1.0), 2};
+  };
+  rom::GlobalSolveOptions global_options;
+  global_options.method = "multigrid";
+  expect_rejected([&] {
+    rom::GlobalProblem problem = global_problem();
+    (void)rom::solve_global(problem, {}, global_options);
+  }, methods);
+  global_options.method = "gmres";
+  global_options.precond = "ilu";
+  expect_rejected([&] {
+    rom::GlobalProblem problem = global_problem();
+    (void)rom::solve_global(problem, {}, global_options);
+  }, preconds);
 }
 
 }  // namespace

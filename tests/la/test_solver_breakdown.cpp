@@ -10,6 +10,8 @@
 #include <limits>
 #include <string>
 
+#include "core/sim_error.hpp"
+#include "fem/linear_solve.hpp"
 #include "la/cg.hpp"
 #include "la/gmres.hpp"
 #include "la/vec.hpp"
@@ -82,6 +84,32 @@ TEST(SolverBreakdown, GmresReportsNonFiniteOperator) {
   EXPECT_FALSE(result.converged);
   EXPECT_TRUE(result.breakdown);
   EXPECT_NE(std::string(result.breakdown_reason), "");
+}
+
+TEST(SolverBreakdown, SharedKrylovLoopRaisesClassifiedError) {
+  // The one lifted solve path behind every layer turns a breakdown into
+  // core::SimError(kDidNotConverge) at "<stage>.solve", whichever Krylov
+  // method runs. diag(1, -1, 0) is indefinite (CG: p.Ap = 0 on the first
+  // step) and singular (GMRES cannot reach b's null-space component).
+  for (const fem::SolveMethod method : {fem::SolveMethod::kCg, fem::SolveMethod::kGmres}) {
+    CsrMatrix a = diagonal({1.0, -1.0, 0.0});
+    std::vector<Vec> rhs{Vec(3, 1.0)};
+    fem::SolveSpec spec;
+    spec.method = method;
+    spec.factor.stage = "test";
+    spec.precond = "none";
+    spec.krylov.restart = 3;
+    spec.krylov.max_iterations = 60;
+    fem::SolveStats stats;
+    try {
+      (void)fem::solve_lifted(a, rhs, {}, spec, stats);
+      ADD_FAILURE() << "breakdown did not throw";
+    } catch (const core::SimError& e) {
+      EXPECT_EQ(e.code(), core::SimErrorCode::kDidNotConverge);
+      EXPECT_EQ(e.stage(), "test.solve");
+      EXPECT_NE(std::string(e.what()).find("breakdown"), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(SolverBreakdown, HealthySystemsStillConvergeCleanly) {
