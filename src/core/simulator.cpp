@@ -199,8 +199,8 @@ ArrayResult MoreStressSimulator::run_panel(const Window& window,
 
   rom::GlobalSolveOptions solve_options = config_.global;
   solve_options.cancel = cancel_;
-  const bool cache_global = factor_cache_ != nullptr && fem::parse_solve_method(
-                                solve_options.method) == fem::SolveMethod::kDirect;
+  const bool direct = fem::parse_solve_method(solve_options.method) == fem::SolveMethod::kDirect;
+  const bool cache_global = factor_cache_ != nullptr && direct;
   if (cache_global) {
     solve_options.factor_cache = factor_cache_;
     solve_options.factor_key = global_factor_key(window);
@@ -217,6 +217,11 @@ ArrayResult MoreStressSimulator::run_panel(const Window& window,
       // and assembly reduces to the load vectors. On a cold key the full
       // operator is assembled below and the solver populates the cache.
       problem.num_dofs = grid.num_dofs();
+      problem.rhs = rom::assemble_global_rhs(grid, tsv, dummy, mask, primary_load);
+    } else if (!direct) {
+      // Krylov paths apply the block operator matrix-free: no CSR.
+      problem.num_dofs = grid.num_dofs();
+      problem.op = std::make_shared<const rom::BlockOperator>(grid, tsv, dummy, mask);
       problem.rhs = rom::assemble_global_rhs(grid, tsv, dummy, mask, primary_load);
     } else {
       problem = rom::assemble_global(grid, tsv, dummy, mask, primary_load);

@@ -110,10 +110,20 @@ std::vector<Vec> solve_direct(la::CsrMatrix& a, std::vector<Vec>& rhs_cases,
   return solutions;
 }
 
-std::vector<Vec> solve_krylov(la::CsrMatrix& a, std::vector<Vec>& rhs_cases,
-                              const DirichletBc& bc, const SolveSpec& spec, SolveStats& stats) {
-  apply_dirichlet(a, rhs_cases, bc);
-  const auto precond = la::make_preconditioner(spec.precond, a);
+}  // namespace
+
+KrylovOperator csr_operator(const la::CsrMatrix& a) {
+  KrylovOperator op;
+  op.apply = [&a](const Vec& x, Vec& y) { a.mul(x, y); };
+  op.diagonal = [&a]() { return a.diagonal(); };
+  op.matrix = &a;
+  op.matrix_bytes = a.memory_bytes();
+  return op;
+}
+
+std::vector<Vec> solve_krylov(const KrylovOperator& op, const std::vector<Vec>& rhs_cases,
+                              const SolveSpec& spec, SolveStats& stats) {
+  const auto precond = la::make_preconditioner(spec.precond, op.diagonal, op.matrix);
   const bool cg = spec.method == SolveMethod::kCg;
   const char* name = cg ? "CG" : "GMRES";
   la::GmresOptions iter = spec.krylov;
@@ -124,8 +134,8 @@ std::vector<Vec> solve_krylov(la::CsrMatrix& a, std::vector<Vec>& rhs_cases,
   for (std::size_t c = 0; c < rhs_cases.size(); ++c) {
     solutions[c].assign(n, spec.initial_guess);
     const la::IterativeResult result =
-        cg ? la::conjugate_gradient(a, rhs_cases[c], solutions[c], precond.get(), iter)
-           : la::gmres(a, rhs_cases[c], solutions[c], precond.get(), iter);
+        cg ? la::conjugate_gradient(op.apply, rhs_cases[c], solutions[c], precond.get(), iter)
+           : la::gmres(op.apply, rhs_cases[c], solutions[c], precond.get(), iter);
     stats.iterations += result.iterations;
     stats.converged = stats.converged && result.converged;
     if (result.breakdown || (!result.converged && spec.throw_on_stall)) {
@@ -146,16 +156,17 @@ std::vector<Vec> solve_krylov(la::CsrMatrix& a, std::vector<Vec>& rhs_cases,
   // Workspace: CG keeps x, r, z, p, Ap; GMRES the restart basis plus four.
   const std::size_t vectors = cg ? 5 : static_cast<std::size_t>(spec.krylov.restart) + 4;
   stats.solver_bytes = vectors * n * sizeof(double) + precond->memory_bytes();
-  stats.matrix_bytes = a.memory_bytes();
+  stats.matrix_bytes = op.matrix_bytes;
   return solutions;
 }
 
-}  // namespace
-
 std::vector<Vec> solve_lifted(la::CsrMatrix& a, std::vector<Vec>& rhs_cases,
                               const DirichletBc& bc, const SolveSpec& spec, SolveStats& stats) {
-  return spec.method == SolveMethod::kDirect ? solve_direct(a, rhs_cases, bc, spec.factor, stats)
-                                             : solve_krylov(a, rhs_cases, bc, spec, stats);
+  if (spec.method == SolveMethod::kDirect) {
+    return solve_direct(a, rhs_cases, bc, spec.factor, stats);
+  }
+  apply_dirichlet(a, rhs_cases, bc);
+  return solve_krylov(csr_operator(a), rhs_cases, spec, stats);
 }
 
 }  // namespace ms::fem

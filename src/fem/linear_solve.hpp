@@ -6,9 +6,12 @@
 // (thermal/thermal_solver), and the fine-mesh reference FEM (fem/solver).
 // This module owns what those callers share: the method vocabulary, the
 // factorization (factor cache, shift-retry ladder, cancellation check, fault
-// probe), the split lifting, the multi-RHS panel and the Krylov loop. Each
-// caller keeps only its fixed policy choices and its own stats publishing.
+// probe), the split lifting, the multi-RHS panel and the Krylov loop, which
+// runs on an apply-plus-diagonal operator so the ROM global stage can stay
+// matrix-free. Each caller keeps only its fixed policy choices and its own
+// stats publishing.
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -48,7 +51,7 @@ struct FactorStats {
 struct SolveStats : FactorStats {
   idx_t iterations = 0;           ///< Krylov iterations over all cases; 0 when direct
   bool converged = false;
-  std::size_t matrix_bytes = 0;   ///< CSR storage of the operator
+  std::size_t matrix_bytes = 0;   ///< storage of the operator (CSR, or a matrix-free one's own)
   std::size_t solver_bytes = 0;   ///< factor / Krylov workspace estimate
   double triangular_seconds = 0.0;///< forward/backward substitutions only
 };
@@ -96,5 +99,24 @@ struct SolveSpec {
 /// solutions are bit-identical to an uncached solve.
 std::vector<Vec> solve_lifted(la::CsrMatrix& a, std::vector<Vec>& rhs_cases,
                               const DirichletBc& bc, const SolveSpec& spec, SolveStats& stats);
+
+/// A lifted SPD operator as the Krylov loop sees it. `apply` and `diagonal`
+/// are all "none" and "jacobi" need, so the operator need not be assembled;
+/// "ssor" sweeps the assembled matrix and requires `matrix`.
+struct KrylovOperator {
+  std::function<void(const Vec&, Vec&)> apply;  ///< y = A x
+  std::function<Vec()> diagonal;                ///< diag(A)
+  const la::CsrMatrix* matrix = nullptr;        ///< assembled A, when there is one
+  std::size_t matrix_bytes = 0;                 ///< reported as SolveStats::matrix_bytes
+};
+
+/// View an assembled matrix as a KrylovOperator; `a` must outlive it.
+KrylovOperator csr_operator(const la::CsrMatrix& a);
+
+/// The shared Krylov loop on an already lifted system: solves op x = rhs for
+/// every case, each started at spec.initial_guess, with spec.method (CG or
+/// GMRES) and spec.precond. Fills the Krylov fields of `stats`.
+std::vector<Vec> solve_krylov(const KrylovOperator& op, const std::vector<Vec>& rhs_cases,
+                              const SolveSpec& spec, SolveStats& stats);
 
 }  // namespace ms::fem

@@ -12,14 +12,19 @@ IterativeResult conjugate_gradient(const std::function<void(const Vec&, Vec&)>& 
   result.rhs_norm = norm2(b);
   const double target = std::max(options.rel_tol * result.rhs_norm, options.abs_tol);
 
-  if (!options.use_initial_guess || x.size() != n) x.assign(n, 0.0);
+  // A zero right-hand side has the exact solution x = 0, whatever the start.
+  if (!options.use_initial_guess || x.size() != n || result.rhs_norm == 0.0) x.assign(n, 0.0);
+  if (result.rhs_norm == 0.0) {
+    result.converged = true;
+    return result;
+  }
 
   Vec r(n), z(n), p(n), ap(n);
   apply_a(x, ap);
   for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - ap[i];
 
   double rnorm = norm2(r);
-  if (rnorm <= target || result.rhs_norm == 0.0) {
+  if (rnorm <= target) {
     result.converged = true;
     result.residual_norm = rnorm;
     return result;

@@ -5,15 +5,16 @@
 
 namespace ms::la {
 
-IterativeResult gmres(const CsrMatrix& a, const Vec& b, Vec& x, const Preconditioner* precond,
-                      const GmresOptions& options) {
+IterativeResult gmres(const std::function<void(const Vec&, Vec&)>& apply_a, const Vec& b, Vec& x,
+                      const Preconditioner* precond, const GmresOptions& options) {
   const std::size_t n = b.size();
   const idx_t m = options.restart;
   IterativeResult result;
   result.rhs_norm = norm2(b);
   const double target = std::max(options.rel_tol * result.rhs_norm, options.abs_tol);
 
-  if (!options.use_initial_guess || x.size() != n) x.assign(n, 0.0);
+  // A zero right-hand side has the exact solution x = 0, whatever the start.
+  if (!options.use_initial_guess || x.size() != n || result.rhs_norm == 0.0) x.assign(n, 0.0);
   if (result.rhs_norm == 0.0) {
     result.converged = true;
     return result;
@@ -40,7 +41,7 @@ IterativeResult gmres(const CsrMatrix& a, const Vec& b, Vec& x, const Preconditi
     // True residual decides convergence; the preconditioned residual only
     // drives the Krylov recurrence (comparing M^{-1} r against a target
     // derived from |b| would exit far too early for scaling preconditioners).
-    a.mul(x, tmp);
+    apply_a(x, tmp);
     for (std::size_t i = 0; i < n; ++i) tmp[i] = b[i] - tmp[i];
     result.residual_norm = norm2(tmp);
     if (result.residual_norm <= target) {
@@ -84,7 +85,7 @@ IterativeResult gmres(const CsrMatrix& a, const Vec& b, Vec& x, const Preconditi
     idx_t k = 0;
     for (; k < m && total_iters < options.max_iterations; ++k, ++total_iters) {
       // w = M^{-1} A v_k
-      a.mul(v[k], tmp);
+      apply_a(v[k], tmp);
       apply_m(tmp, w);
       // Modified Gram-Schmidt.
       for (idx_t i = 0; i <= k; ++i) {
@@ -153,7 +154,7 @@ IterativeResult gmres(const CsrMatrix& a, const Vec& b, Vec& x, const Preconditi
     for (idx_t i = 0; i < k; ++i) axpy(y[i], v[i], x);
 
     // Convergence check on the true residual.
-    a.mul(x, tmp);
+    apply_a(x, tmp);
     for (std::size_t i = 0; i < n; ++i) tmp[i] = b[i] - tmp[i];
     result.residual_norm = norm2(tmp);
     if (result.residual_norm <= std::max(options.rel_tol * result.rhs_norm, options.abs_tol)) {
@@ -162,6 +163,11 @@ IterativeResult gmres(const CsrMatrix& a, const Vec& b, Vec& x, const Preconditi
     }
   }
   return result;
+}
+
+IterativeResult gmres(const CsrMatrix& a, const Vec& b, Vec& x, const Preconditioner* precond,
+                      const GmresOptions& options) {
+  return gmres([&a](const Vec& in, Vec& out) { a.mul(in, out); }, b, x, precond, options);
 }
 
 }  // namespace ms::la

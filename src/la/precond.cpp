@@ -3,10 +3,14 @@
 #include <cassert>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace ms::la {
 
-JacobiPreconditioner::JacobiPreconditioner(const CsrMatrix& a) : inv_diag_(a.diagonal()) {
+JacobiPreconditioner::JacobiPreconditioner(const CsrMatrix& a)
+    : JacobiPreconditioner(a.diagonal()) {}
+
+JacobiPreconditioner::JacobiPreconditioner(Vec diagonal) : inv_diag_(std::move(diagonal)) {
   for (double& d : inv_diag_) d = (d != 0.0) ? 1.0 / d : 1.0;
 }
 
@@ -61,12 +65,28 @@ std::size_t SsorPreconditioner::memory_bytes() const {
   return inv_diag_.size() * sizeof(double);
 }
 
-std::unique_ptr<Preconditioner> make_preconditioner(const std::string& name, const CsrMatrix& a) {
-  if (name == "none") return std::make_unique<IdentityPreconditioner>();
-  if (name == "jacobi") return std::make_unique<JacobiPreconditioner>(a);
-  if (name == "ssor") return std::make_unique<SsorPreconditioner>(a);
+PreconditionerKind parse_preconditioner(const std::string& name) {
+  if (name == "none") return PreconditionerKind::kNone;
+  if (name == "jacobi") return PreconditionerKind::kJacobi;
+  if (name == "ssor") return PreconditionerKind::kSsor;
   throw std::invalid_argument("make_preconditioner: unknown preconditioner '" + name +
                               "' (valid: none, jacobi, ssor)");
+}
+
+std::unique_ptr<Preconditioner> make_preconditioner(const std::string& name, const CsrMatrix& a) {
+  return make_preconditioner(name, [&a]() { return a.diagonal(); }, &a);
+}
+
+std::unique_ptr<Preconditioner> make_preconditioner(const std::string& name,
+                                                    const std::function<Vec()>& diagonal,
+                                                    const CsrMatrix* a) {
+  const PreconditionerKind kind = parse_preconditioner(name);
+  if (kind == PreconditionerKind::kNone) return std::make_unique<IdentityPreconditioner>();
+  if (kind == PreconditionerKind::kJacobi) {
+    return std::make_unique<JacobiPreconditioner>(diagonal());
+  }
+  if (a == nullptr) throw std::logic_error("make_preconditioner: ssor needs an assembled matrix");
+  return std::make_unique<SsorPreconditioner>(*a);
 }
 
 }  // namespace ms::la

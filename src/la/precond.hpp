@@ -4,7 +4,9 @@
 // Gauss-Seidel (SSOR with omega=1) accelerates the fine-mesh reference FEM
 // solves where the elasticity operator is much stiffer.
 
+#include <functional>
 #include <memory>
+#include <string>
 
 #include "la/sparse.hpp"
 
@@ -33,6 +35,8 @@ class IdentityPreconditioner final : public Preconditioner {
 class JacobiPreconditioner final : public Preconditioner {
  public:
   explicit JacobiPreconditioner(const CsrMatrix& a);
+  /// From diag(A) directly, for operators that are never assembled.
+  explicit JacobiPreconditioner(Vec diagonal);
   void apply(const Vec& r, Vec& z) const override;
   [[nodiscard]] std::size_t memory_bytes() const override;
 
@@ -54,7 +58,20 @@ class SsorPreconditioner final : public Preconditioner {
   Vec inv_diag_;
 };
 
+enum class PreconditionerKind { kNone, kJacobi, kSsor };
+
+/// Parse "none" | "jacobi" | "ssor". Throws std::invalid_argument naming the
+/// valid set on any other name.
+PreconditionerKind parse_preconditioner(const std::string& name);
+
 /// Factory helper keyed by name: "none", "jacobi", "ssor".
 std::unique_ptr<Preconditioner> make_preconditioner(const std::string& name, const CsrMatrix& a);
+
+/// Same, for an operator that need not be assembled: "none" and "jacobi"
+/// use only `diagonal`; "ssor" sweeps `a`, which must then be non-null
+/// (std::logic_error otherwise) and outlive the preconditioner.
+std::unique_ptr<Preconditioner> make_preconditioner(const std::string& name,
+                                                    const std::function<Vec()>& diagonal,
+                                                    const CsrMatrix* a);
 
 }  // namespace ms::la

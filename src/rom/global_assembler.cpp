@@ -8,8 +8,7 @@
 namespace ms::rom {
 namespace {
 
-/// Stiffness and load must select block models identically; both assembly
-/// entry points go through these two helpers.
+/// The load must select block models exactly as BlockOperator does.
 void require_dummy_model(const BlockMask& mask, const RomModel* dummy_model,
                          const char* caller) {
   if (dummy_model != nullptr || mask.empty()) return;
@@ -34,60 +33,12 @@ GlobalProblem assemble_global(const BlockGrid& grid, const RomModel& tsv_model,
                               const RomModel* dummy_model, const BlockMask& mask,
                               const BlockLoadField& load) {
   MS_TRACE_SCOPE("rom.global.assemble");
-  const idx_t n = tsv_model.num_element_dofs();
   load.validate_extent(grid.blocks_x(), grid.blocks_y());
-  if (tsv_model.element_stiffness.rows() != n) {
-    throw std::invalid_argument("assemble_global: model element matrices missing");
-  }
-  if (!mask.empty() && mask.size() != static_cast<std::size_t>(grid.num_blocks())) {
-    throw std::invalid_argument("assemble_global: mask size must be blocks_x*blocks_y");
-  }
-  if (dummy_model != nullptr && !tsv_model.compatible_with(*dummy_model)) {
-    throw std::invalid_argument("assemble_global: dummy model incompatible with TSV model");
-  }
-
   GlobalProblem problem;
   problem.num_dofs = grid.num_dofs();
-  problem.rhs.assign(problem.num_dofs, 0.0);
-
-  // Validate before the parallel scatter: throwing from inside an OpenMP
-  // region would terminate instead of propagating.
-  require_dummy_model(mask, dummy_model, "assemble_global");
-
-  // Every block contributes exactly n^2 stiffness entries, so each block
-  // owns a fixed slice of the triplet arrays and the scatter parallelizes
-  // with no races and a bitwise-deterministic result (the slice layout is
-  // the serial push order). The rhs overlaps between neighbouring blocks;
-  // its accumulation stays serial — it is O(n) per block against the
-  // O(n^2) stiffness scatter — so its summation order is fixed too.
-  const std::size_t num_blocks = static_cast<std::size_t>(grid.num_blocks());
-  const std::size_t per_block = static_cast<std::size_t>(n) * n;
-  std::vector<idx_t> is(num_blocks * per_block);
-  std::vector<idx_t> js(num_blocks * per_block);
-  std::vector<double> vs(num_blocks * per_block);
-
-  const int blocks_x = grid.blocks_x();
-  const int blocks_y = grid.blocks_y();
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-  for (int b = 0; b < blocks_x * blocks_y; ++b) {
-    const int bx = b % blocks_x;
-    const int by = b / blocks_x;
-    const RomModel& model = block_model(tsv_model, dummy_model, mask, blocks_x, bx, by);
-    const std::vector<idx_t> dofs = grid.block_dofs(bx, by);
-    std::size_t pos = static_cast<std::size_t>(b) * per_block;
-    for (idx_t i = 0; i < n; ++i) {
-      for (idx_t j = 0; j < n; ++j, ++pos) {
-        is[pos] = dofs[i];
-        js[pos] = dofs[j];
-        vs[pos] = model.element_stiffness(i, j);
-      }
-    }
-  }
+  problem.op = std::make_shared<const BlockOperator>(grid, tsv_model, dummy_model, mask);
   problem.rhs = assemble_global_rhs(grid, tsv_model, dummy_model, mask, load);
-  problem.stiffness = CsrMatrix::from_triplets(la::TripletList::from_parts(
-      problem.num_dofs, problem.num_dofs, std::move(is), std::move(js), std::move(vs)));
+  problem.stiffness = problem.op->to_csr();
   return problem;
 }
 

@@ -1,14 +1,19 @@
 #pragma once
-// Global-stage assembly (paper Sec. 4.3): scatter each block's reduced
-// element stiffness/load into the global sparse system with the standard FEM
-// assembly procedure, then lift Dirichlet data (clamped surfaces for
-// standalone arrays; interpolated coarse displacements for sub-modeling).
+// Global-stage assembly (paper Sec. 4.3): each block's reduced element
+// stiffness forms the block operator (rom/block_operator.hpp), each block's
+// reduced load is scattered into the global load vector, and the Dirichlet
+// data (clamped surfaces for standalone arrays; interpolated coarse
+// displacements for sub-modeling) is lifted by the solver. The Krylov paths
+// apply the operator matrix-free; only the direct path factors the
+// assembled CSR.
 
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "fem/dirichlet.hpp"
 #include "rom/block_grid.hpp"
+#include "rom/block_operator.hpp"
 #include "rom/load_field.hpp"
 #include "rom/rom_model.hpp"
 
@@ -17,19 +22,21 @@ namespace ms::rom {
 using fem::DirichletBc;
 using la::CsrMatrix;
 
-/// Per-block model selection for hybrid arrays: mask[by * blocks_x + bx] is
-/// 1 for a TSV block, 0 for a dummy block. Empty mask = all TSV.
-using BlockMask = std::vector<std::uint8_t>;
-
 struct GlobalProblem {
+  /// Assembled K for the direct path (and the factor-cache miss); the Krylov
+  /// paths never read it when `op` is set.
   CsrMatrix stiffness;
   Vec rhs;
   idx_t num_dofs = 0;
+  /// Matrix-free K for the Krylov paths. It points at the block models'
+  /// element matrices, so the models must outlive it.
+  std::shared_ptr<const BlockOperator> op;
 };
 
-/// Assemble the unconstrained global system: each block's reduced load is
-/// scaled by its own ΔT from `load`. `dummy_model` may be null when the mask
-/// selects no dummy blocks.
+/// Assemble the unconstrained global system: the block operator, its CSR,
+/// and the load vector, where each block's reduced load is scaled by its own
+/// ΔT from `load`. `dummy_model` may be null when the mask selects no dummy
+/// blocks.
 GlobalProblem assemble_global(const BlockGrid& grid, const RomModel& tsv_model,
                               const RomModel* dummy_model, const BlockMask& mask,
                               const BlockLoadField& load);

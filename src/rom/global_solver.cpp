@@ -1,9 +1,11 @@
 #include "rom/global_solver.hpp"
 
+#include <cassert>
 #include <limits>
 #include <stdexcept>
 #include <utility>
 
+#include "la/precond.hpp"
 #include "obs/metrics.hpp"
 #include "obs/query_scope.hpp"
 #include "obs/trace.hpp"
@@ -46,6 +48,57 @@ void publish_global_stats(const GlobalSolveStats& s) {
   obs::QueryScope::observe_seconds("global.triangular_seconds", s.triangular_seconds);
 }
 
+/// The Krylov paths on the block operator, with the Dirichlet data lifted
+/// without a matrix: constrained inputs are masked to zero and constrained
+/// rows act as identity (the operator apply_dirichlet would build), free
+/// rows of every rhs get -K x_D and constrained rows the prescribed value.
+std::vector<Vec> solve_matrix_free(const BlockOperator& op, std::vector<Vec>& rhs_cases,
+                                   const DirichletBc& bc, const fem::SolveSpec& spec,
+                                   fem::SolveStats& stats) {
+  const std::size_t n = static_cast<std::size_t>(op.num_dofs());
+  std::vector<char> constrained(n, 0);
+  Vec x_d(n, 0.0);  // the prescribed values, zero on free dofs
+  for (std::size_t k = 0; k < bc.dofs.size(); ++k) {
+    const std::size_t d = static_cast<std::size_t>(bc.dofs[k]);
+    assert(d < n);
+    constrained[d] = 1;
+    x_d[d] = bc.values[k];
+  }
+  if (!bc.dofs.empty()) {
+    Vec k_xd;
+    op.apply(x_d, k_xd);
+    for (Vec& rhs : rhs_cases) {
+      for (std::size_t i = 0; i < n; ++i) rhs[i] = constrained[i] ? x_d[i] : rhs[i] - k_xd[i];
+    }
+  }
+
+  Vec masked(n);
+  fem::KrylovOperator lifted;
+  lifted.apply = [&](const Vec& x, Vec& y) {
+    for (std::size_t i = 0; i < n; ++i) masked[i] = constrained[i] ? 0.0 : x[i];
+    op.apply(masked, y);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (constrained[i]) y[i] = x[i];
+    }
+  };
+  lifted.diagonal = [&]() {
+    Vec d = op.diagonal();
+    for (std::size_t i = 0; i < n; ++i) {
+      if (constrained[i]) d[i] = 1.0;
+    }
+    return d;
+  };
+  lifted.matrix_bytes = op.memory_bytes();
+  la::CsrMatrix assembled;  // only "ssor" sweeps an assembled matrix
+  if (la::parse_preconditioner(spec.precond) == la::PreconditionerKind::kSsor) {
+    assembled = op.to_csr();
+    fem::apply_dirichlet_matrix(assembled, bc);
+    lifted.matrix = &assembled;
+    lifted.matrix_bytes += assembled.memory_bytes();
+  }
+  return fem::solve_krylov(lifted, rhs_cases, spec, stats);
+}
+
 }  // namespace
 
 std::vector<Vec> solve_global_multi(GlobalProblem& problem, std::vector<Vec> extra_rhs,
@@ -54,6 +107,8 @@ std::vector<Vec> solve_global_multi(GlobalProblem& problem, std::vector<Vec> ext
   MS_TRACE_SCOPE("rom.global.solve");
   fem::SolveSpec spec;
   spec.method = fem::parse_solve_method(options.method);
+  const bool krylov = spec.method != fem::SolveMethod::kDirect;
+  if (krylov) (void)la::parse_preconditioner(options.precond);  // before touching the operator
   spec.factor.stage = "rom.global";
   spec.factor.options = options.factor;
   spec.factor.shift_retry = options.shift_retry;
@@ -77,7 +132,10 @@ std::vector<Vec> solve_global_multi(GlobalProblem& problem, std::vector<Vec> ext
 
   util::WallTimer timer;
   GlobalSolveStats local;
-  std::vector<Vec> solutions = fem::solve_lifted(problem.stiffness, rhs_cases, bc, spec, local);
+  std::vector<Vec> solutions =
+      krylov && problem.op != nullptr
+          ? solve_matrix_free(*problem.op, rhs_cases, bc, spec, local)
+          : fem::solve_lifted(problem.stiffness, rhs_cases, bc, spec, local);
   problem.rhs = std::move(rhs_cases.front());  // keep the lifted primary rhs visible
   // `nan` probe: poison the first solution entry so the stage-boundary
   // health sweep downstream must catch it (tests/robustness).

@@ -1,8 +1,11 @@
 #pragma once
 // Solve the reduced global system (paper Eq. 20). The lifted system is SPD,
 // so preconditioned CG is the default; GMRES (the paper's choice) and a
-// sparse direct path are available for the solver ablation. Lifting,
-// factorization and the Krylov loop run through the one lifted solve path,
+// sparse direct path are available for the solver ablation. The Krylov
+// paths run matrix-free on GlobalProblem::op (rom/block_operator.hpp),
+// lifting the Dirichlet data without a matrix, and never read
+// GlobalProblem::stiffness; the direct path lifts and factors the CSR.
+// Factorization and the Krylov loop run through the one lifted solve path,
 // fem/linear_solve.hpp; this layer adds the stats publishing and the
 // solution fault probe.
 
@@ -26,16 +29,17 @@ struct GlobalSolveOptions {
   idx_t gmres_restart = 80;
   /// Direct-path factorization: ordering + supernodal/simplicial back end.
   la::SparseCholesky::Options factor;
-  /// Cross-call factorization memoization (direct path only; iterative
-  /// paths ignore it). When `factor_cache` is set and `factor_key` is
-  /// non-empty, the lifted operator's factorization is looked up / stored
-  /// under the key together with the unlifted operator (needed to lift the
-  /// right-hand sides). The key must determine the assembled matrix values
-  /// and the constrained-dof *set*; BC values may vary freely between
-  /// callers sharing a key (lifting splits cleanly, see fem/dirichlet.hpp).
-  /// On a hit the caller may leave problem.stiffness unassembled (empty)
-  /// and fill only problem.rhs / problem.num_dofs. Warm or cold, the
-  /// returned solutions are bit-identical to the uncached path.
+  /// Cross-call factorization memoization (direct path only; the Krylov
+  /// paths factor nothing and ignore it). When `factor_cache` is set and
+  /// `factor_key` is non-empty, the lifted operator's factorization is
+  /// looked up / stored under the key together with the unlifted operator
+  /// (needed to lift the right-hand sides). The key must determine the
+  /// assembled matrix values and the constrained-dof *set*; BC values may
+  /// vary freely between callers sharing a key (lifting splits cleanly, see
+  /// fem/dirichlet.hpp). On a hit the caller may leave problem.stiffness
+  /// unassembled (empty) and fill only problem.rhs / problem.num_dofs; a
+  /// miss needs the assembled stiffness. Warm or cold, the returned
+  /// solutions are bit-identical to the uncached path.
   la::FactorCache* factor_cache = nullptr;
   std::string factor_key;
   /// SPD breakdown recovery for the direct paths (see la/shift_retry.hpp).
@@ -63,9 +67,12 @@ Vec solve_global(GlobalProblem& problem, const DirichletBc& bc,
 /// Multi-load variant: solve problem.rhs plus every vector of `extra_rhs`
 /// against the same lifted operator. The direct path factors once and runs
 /// all cases as one multi-RHS panel through SparseCholesky::solve_multi;
-/// iterative paths loop. Returns one solution per case — index 0 is
-/// problem.rhs, index 1 + k is extra_rhs[k]. All right-hand sides must be
-/// unlifted (the lifting is applied here, like solve_global does).
+/// iterative paths loop, on problem.op when it is set and on
+/// problem.stiffness otherwise. On the operator path `matrix_bytes` counts
+/// the operator's own storage (plus the lifted CSR "ssor" assembles).
+/// Returns one solution per case — index 0 is problem.rhs, index 1 + k is
+/// extra_rhs[k]. All right-hand sides must be unlifted (the lifting is
+/// applied here, like solve_global does).
 std::vector<Vec> solve_global_multi(GlobalProblem& problem, std::vector<Vec> extra_rhs,
                                     const DirichletBc& bc, const GlobalSolveOptions& options = {},
                                     GlobalSolveStats* stats = nullptr);

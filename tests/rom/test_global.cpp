@@ -6,39 +6,17 @@
 #include "rom/global_solver.hpp"
 #include "rom/local_stage.hpp"
 #include "rom/reconstruct.hpp"
+#include "rom/rom_fixtures.hpp"
 
 namespace ms::rom {
 namespace {
 
-mesh::TsvGeometry geometry() { return {15.0, 5.0, 0.5, 50.0}; }
-mesh::BlockMeshSpec spec() { return {6, 3}; }
-
-const fem::MaterialTable& table() {
-  static const fem::MaterialTable t = fem::MaterialTable::standard();
-  return t;
-}
-
-const RomModel& tsv_model() {
-  static const RomModel m = [] {
-    LocalStageOptions options;
-    options.nodes_x = options.nodes_y = options.nodes_z = 3;
-    options.samples_per_block = 10;
-    return run_local_stage(geometry(), spec(), table(), BlockKind::Tsv, options);
-  }();
-  return m;
-}
-
-const RomModel& dummy_model() {
-  static const RomModel m = [] {
-    LocalStageOptions options;
-    options.nodes_x = options.nodes_y = options.nodes_z = 3;
-    options.samples_per_block = 10;
-    return run_local_stage(geometry(), spec(), table(), BlockKind::Dummy, options);
-  }();
-  return m;
-}
-
-BlockGrid make_grid(int bx, int by) { return BlockGrid(bx, by, 3, 3, 3, 15.0, 50.0); }
+using fixtures::dummy_model;
+using fixtures::geometry;
+using fixtures::make_grid;
+using fixtures::spec;
+using fixtures::table;
+using fixtures::tsv_model;
 
 TEST(GlobalAssembler, SystemShapeAndSymmetry) {
   const BlockGrid grid = make_grid(2, 2);
