@@ -17,17 +17,23 @@ namespace {
 /// Blocks per panel-product task: four blocks share every pass over a row of
 /// the element stiffness, and their outputs (4 n doubles) stay in L1.
 constexpr int kChunk = 4;
+/// Multiply-adds per apply (blocks x n^2) below which the block products run
+/// serially. An apply runs once per Krylov iteration, and sweep workers run
+/// one query per thread: a sweep's 8x8 panel (1.8 M at n = 168) must not
+/// start an OpenMP team every iteration, while the 16x16 Table 1 array
+/// (7.2 M) runs in parallel.
+constexpr double kParallelWork = 4.0 * 1024 * 1024;
 
-/// y_c = K x_c for `count` <= kChunk blocks. K is symmetric, so row j of K is
-/// its column j and the product is a sum of scaled rows with unit-stride
+/// y_c = K x_c for `count` <= kChunk blocks, with `kt` = K^T: row j of kt is
+/// column j of K, so the product is a sum of scaled rows with unit-stride
 /// inner loops. Every output entry is accumulated over j in order, the same
 /// arithmetic for any `count`, so a block's product never depends on which
 /// task computed it.
-void chunk_product(const double* k, std::size_t n, const double* const* xs, double* const* ys,
+void chunk_product(const double* kt, std::size_t n, const double* const* xs, double* const* ys,
                    int count) {
   for (int c = 0; c < count; ++c) std::fill(ys[c], ys[c] + n, 0.0);
   for (std::size_t j = 0; j < n; ++j) {
-    const double* kj = k + j * n;
+    const double* kj = kt + j * n;
     if (count == kChunk) {
       const double x0 = xs[0][j], x1 = xs[1][j], x2 = xs[2][j], x3 = xs[3][j];
       double* y0 = ys[0];
@@ -76,15 +82,16 @@ BlockOperator::BlockOperator(const BlockGrid& grid, const RomModel& tsv_model,
   if (any_dummy && dummy_model == nullptr) {
     throw std::invalid_argument("BlockOperator: mask selects dummy blocks but no model");
   }
-  groups_.resize(any_dummy ? 2 : 1);
-  groups_[0].stiffness = &tsv_model.element_stiffness;
-  if (any_dummy) groups_[1].stiffness = &dummy_model->element_stiffness;
-  for (const Group& g : groups_) {
-    if (g.stiffness->rows() != n_ || g.stiffness->cols() != n_ ||
-        g.stiffness->symmetry_error() != 0.0) {
-      throw std::invalid_argument("BlockOperator: element stiffness must be n x n and symmetric");
+  const auto columns = [&](const RomModel& model) {
+    const DenseMatrix& k = model.element_stiffness;
+    if (k.rows() != n_ || k.cols() != n_) {
+      throw std::invalid_argument("BlockOperator: element stiffness must be n x n");
     }
-  }
+    return k.transposed();
+  };
+  groups_.resize(any_dummy ? 2 : 1);
+  groups_[0].columns = columns(tsv_model);
+  if (any_dummy) groups_[1].columns = columns(*dummy_model);
 
   const std::size_t n = static_cast<std::size_t>(n_);
   dofs_.resize(static_cast<std::size_t>(num_blocks_) * n);
@@ -101,11 +108,12 @@ void BlockOperator::apply(const Vec& x, Vec& y) const {
   // Block-major panels: gathered inputs and their products.
   Vec xs(static_cast<std::size_t>(num_blocks_) * n);
   Vec ys(xs.size());
+  const double work = static_cast<double>(num_blocks_) * static_cast<double>(n * n);
   for (const Group& group : groups_) {
     const int count = static_cast<int>(group.blocks.size());
     const int chunks = (count + kChunk - 1) / kChunk;
 #ifdef _OPENMP
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) if (work >= kParallelWork)
 #endif
     for (int chunk = 0; chunk < chunks; ++chunk) {
       const int first = chunk * kChunk;
@@ -120,7 +128,7 @@ void BlockOperator::apply(const Vec& x, Vec& y) const {
         in[c] = xb;
         out[c] = ys.data() + static_cast<std::size_t>(b) * n;
       }
-      chunk_product(group.stiffness->data().data(), n, in, out, size);
+      chunk_product(group.columns.data().data(), n, in, out, size);
     }
   }
   // Neighbouring blocks share surface dofs: a serial scatter in block order
@@ -137,8 +145,8 @@ Vec BlockOperator::diagonal() const {
   Vec d(static_cast<std::size_t>(num_dofs_), 0.0);
   for (int b = 0; b < num_blocks_; ++b) {
     const idx_t* dofs = dofs_of(b);
-    const DenseMatrix& k = stiffness_of(b);
-    for (idx_t i = 0; i < n_; ++i) d[dofs[i]] += k(i, i);
+    const DenseMatrix& kt = columns_of(b);
+    for (idx_t i = 0; i < n_; ++i) d[dofs[i]] += kt(i, i);
   }
   return d;
 }
@@ -157,14 +165,14 @@ CsrMatrix BlockOperator::to_csr() const {
 #pragma omp parallel for schedule(static)
 #endif
   for (int b = 0; b < num_blocks_; ++b) {
-    const DenseMatrix& k = stiffness_of(b);
+    const DenseMatrix& kt = columns_of(b);
     const idx_t* dofs = dofs_of(b);
     std::size_t pos = static_cast<std::size_t>(b) * per_block;
     for (idx_t i = 0; i < n_; ++i) {
       for (idx_t j = 0; j < n_; ++j, ++pos) {
         is[pos] = dofs[i];
         js[pos] = dofs[j];
-        vs[pos] = k(i, j);
+        vs[pos] = kt(j, i);
       }
     }
   }
@@ -174,7 +182,9 @@ CsrMatrix BlockOperator::to_csr() const {
 
 std::size_t BlockOperator::memory_bytes() const {
   std::size_t bytes = dofs_.size() * sizeof(idx_t) + group_of_.size() * sizeof(std::uint8_t);
-  for (const Group& g : groups_) bytes += g.blocks.size() * sizeof(int);
+  for (const Group& g : groups_) {
+    bytes += g.blocks.size() * sizeof(int) + g.columns.data().size() * sizeof(double);
+  }
   return bytes;
 }
 

@@ -25,18 +25,18 @@ using BlockMask = std::vector<std::uint8_t>;
 class BlockOperator {
  public:
   /// Build the block->global dof table with blocks grouped by model. The
-  /// operator keeps pointers to the models' element matrices, so the models
-  /// must outlive it. Throws std::invalid_argument when the element matrices
-  /// are missing or not symmetric, the mask has the wrong size, the mask
-  /// selects dummy blocks without `dummy_model`, or the models are
-  /// incompatible.
+  /// operator copies the element matrices it uses, so it does not depend on
+  /// the models' lifetime. Throws std::invalid_argument when the element
+  /// matrices are missing, the mask has the wrong size, the mask selects
+  /// dummy blocks without `dummy_model`, or the models are incompatible.
   BlockOperator(const BlockGrid& grid, const RomModel& tsv_model, const RomModel* dummy_model,
                 const BlockMask& mask);
 
   [[nodiscard]] idx_t num_dofs() const { return num_dofs_; }
 
-  /// y = K x. Block products run in parallel; the scatter-add runs serially
-  /// in block order, so y is bitwise independent of the thread count.
+  /// y = K x. Block products run in parallel on large operators; the
+  /// scatter-add runs serially in block order, so y is bitwise independent
+  /// of the thread count.
   void apply(const Vec& x, Vec& y) const;
 
   /// diag(K), accumulated in block order.
@@ -46,22 +46,24 @@ class BlockOperator {
   /// assemble_global (the direct path factors it).
   [[nodiscard]] CsrMatrix to_csr() const;
 
-  /// The operator's own storage: the dof table and the block groups. The
-  /// element matrices are counted in RomModel::memory_bytes().
+  /// The operator's own storage: the dof table, the block groups and the
+  /// copied element matrices.
   [[nodiscard]] std::size_t memory_bytes() const;
 
  private:
-  /// Blocks that share one element stiffness, in block order.
+  /// Blocks that share one element stiffness, in block order. The group
+  /// stores the transpose: row j holds column j of K, so K x is a sum of
+  /// scaled rows with unit-stride inner loops, for any K.
   struct Group {
-    const DenseMatrix* stiffness = nullptr;
+    DenseMatrix columns;
     std::vector<int> blocks;
   };
 
   [[nodiscard]] const idx_t* dofs_of(int block) const {
     return dofs_.data() + static_cast<std::size_t>(block) * n_;
   }
-  [[nodiscard]] const DenseMatrix& stiffness_of(int block) const {
-    return *groups_[group_of_[static_cast<std::size_t>(block)]].stiffness;
+  [[nodiscard]] const DenseMatrix& columns_of(int block) const {
+    return groups_[group_of_[static_cast<std::size_t>(block)]].columns;
   }
 
   idx_t n_ = 0;          ///< dofs per block

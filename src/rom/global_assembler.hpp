@@ -24,12 +24,12 @@ using la::CsrMatrix;
 
 struct GlobalProblem {
   /// Assembled K for the direct path (and the factor-cache miss); the Krylov
-  /// paths never read it when `op` is set.
+  /// paths never read it.
   CsrMatrix stiffness;
   Vec rhs;
   idx_t num_dofs = 0;
-  /// Matrix-free K for the Krylov paths. It points at the block models'
-  /// element matrices, so the models must outlive it.
+  /// Matrix-free K, required by the Krylov paths. It owns copies of the
+  /// element matrices, so the problem may outlive the models.
   std::shared_ptr<const BlockOperator> op;
 };
 

@@ -108,7 +108,13 @@ std::vector<Vec> solve_global_multi(GlobalProblem& problem, std::vector<Vec> ext
   fem::SolveSpec spec;
   spec.method = fem::parse_solve_method(options.method);
   const bool krylov = spec.method != fem::SolveMethod::kDirect;
-  if (krylov) (void)la::parse_preconditioner(options.precond);  // before touching the operator
+  if (krylov) {
+    (void)la::parse_preconditioner(options.precond);  // before touching the operator
+    if (problem.op == nullptr) {
+      throw std::invalid_argument(
+          "solve_global_multi: the Krylov methods need problem.op (assemble_global sets it)");
+    }
+  }
   spec.factor.stage = "rom.global";
   spec.factor.options = options.factor;
   spec.factor.shift_retry = options.shift_retry;
@@ -133,9 +139,8 @@ std::vector<Vec> solve_global_multi(GlobalProblem& problem, std::vector<Vec> ext
   util::WallTimer timer;
   GlobalSolveStats local;
   std::vector<Vec> solutions =
-      krylov && problem.op != nullptr
-          ? solve_matrix_free(*problem.op, rhs_cases, bc, spec, local)
-          : fem::solve_lifted(problem.stiffness, rhs_cases, bc, spec, local);
+      krylov ? solve_matrix_free(*problem.op, rhs_cases, bc, spec, local)
+             : fem::solve_lifted(problem.stiffness, rhs_cases, bc, spec, local);
   problem.rhs = std::move(rhs_cases.front());  // keep the lifted primary rhs visible
   // `nan` probe: poison the first solution entry so the stage-boundary
   // health sweep downstream must catch it (tests/robustness).

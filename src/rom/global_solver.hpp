@@ -66,10 +66,11 @@ Vec solve_global(GlobalProblem& problem, const DirichletBc& bc,
 
 /// Multi-load variant: solve problem.rhs plus every vector of `extra_rhs`
 /// against the same lifted operator. The direct path factors once and runs
-/// all cases as one multi-RHS panel through SparseCholesky::solve_multi;
-/// iterative paths loop, on problem.op when it is set and on
-/// problem.stiffness otherwise. On the operator path `matrix_bytes` counts
-/// the operator's own storage (plus the lifted CSR "ssor" assembles).
+/// all cases as one multi-RHS panel through SparseCholesky::solve_multi.
+/// The Krylov paths loop over the cases on problem.op only (they throw
+/// std::invalid_argument when it is null); problem.stiffness is read by the
+/// direct path alone. On the Krylov paths `matrix_bytes` counts the
+/// operator's own storage (plus the lifted CSR "ssor" assembles).
 /// Returns one solution per case — index 0 is problem.rhs, index 1 + k is
 /// extra_rhs[k]. All right-hand sides must be unlifted (the lifting is
 /// applied here, like solve_global does).

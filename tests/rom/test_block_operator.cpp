@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <functional>
+#include <memory>
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -141,14 +142,20 @@ TEST(BlockOperator, KrylovPathReportsOperatorStorage) {
 
 #ifdef _OPENMP
 TEST(BlockOperator, CgSolutionIndependentOfThreadCount) {
-  const Hybrid h;
+  // 28 x 28 blocks (26 x 26 TSV blocks inside one dummy ring): enough work per
+  // apply for the parallel block products.
+  const BlockGrid grid = make_grid(28, 28);
+  const BlockMask mask = mesh::padded_tsv_mask(28, 28, 1);
+  const BlockLoadField load = BlockLoadField::uniform(-250.0);
+  const auto op = std::make_shared<const BlockOperator>(grid, tsv_model(), &dummy_model(), mask);
+  const Vec rhs = assemble_global_rhs(grid, tsv_model(), &dummy_model(), mask, load);
   const int saved = omp_get_max_threads();
   const auto solve = [&](int threads) {
     omp_set_num_threads(threads);
-    GlobalProblem problem = h.problem();
+    GlobalProblem problem{{}, rhs, grid.num_dofs(), op};
     GlobalSolveOptions options;
     options.method = "cg";
-    return solve_global(problem, h.bc(), options);
+    return solve_global(problem, clamp_top_bottom(grid), options);
   };
   const Vec one = solve(1);
   const Vec four = solve(4);
@@ -162,9 +169,63 @@ TEST(BlockOperator, RejectsInvalidModels) {
   EXPECT_THROW(BlockOperator(h.grid, tsv_model(), nullptr, h.mask), std::invalid_argument);
   EXPECT_THROW(BlockOperator(h.grid, tsv_model(), &dummy_model(), {1, 0}),
                std::invalid_argument);
-  RomModel skewed = tsv_model();
-  skewed.element_stiffness(0, 1) += 1.0;
-  EXPECT_THROW(BlockOperator(h.grid, skewed, nullptr, {}), std::invalid_argument);
+}
+
+TEST(BlockOperator, KrylovMethodsRequireTheOperator) {
+  const Hybrid h;
+  GlobalProblem problem = h.problem();
+  problem.op.reset();
+  for (const char* method : {"cg", "gmres"}) {
+    GlobalSolveOptions options;
+    options.method = method;
+    GlobalProblem copy = problem;
+    EXPECT_THROW((void)solve_global(copy, h.bc(), options), std::invalid_argument) << method;
+  }
+  GlobalSolveOptions direct;
+  direct.method = "direct";
+  EXPECT_NO_THROW((void)solve_global(problem, h.bc(), direct));
+}
+
+// A stiffness that is symmetric only to rounding, as a model read back with
+// RomModel::load may be: the operator applies K itself, not its transpose,
+// and every path still solves.
+TEST(BlockOperator, RoundingAsymmetricStiffnessSolvesOnEveryPath) {
+  const Hybrid h;
+  RomModel model = tsv_model();
+  double& k01 = model.element_stiffness(0, 1);
+  k01 = std::nextafter(k01, 2.0 * k01);
+  ASSERT_GT(model.element_stiffness.symmetry_error(), 0.0);
+
+  const BlockOperator op(h.grid, model, &dummy_model(), h.mask);
+  const la::CsrMatrix csr = op.to_csr();
+  const Vec x = probe_vector(op.num_dofs());
+  Vec y_op;
+  Vec y_csr;
+  op.apply(x, y_op);
+  csr.mul(x, y_csr);
+  EXPECT_LT(relative_diff(y_op, y_csr), 1e-13);
+
+  GlobalSolveOptions direct;
+  direct.method = "direct";
+  GlobalProblem p_direct = assemble_global(h.grid, model, &dummy_model(), h.mask, h.load);
+  const Vec u_direct = solve_global(p_direct, h.bc(), direct);
+  GlobalProblem p_cg = assemble_global(h.grid, model, &dummy_model(), h.mask, h.load);
+  GlobalSolveOptions cg;
+  cg.rel_tol = 1e-13;
+  EXPECT_LT(relative_diff(solve_global(p_cg, h.bc(), cg), u_direct), 1e-9);
+}
+
+TEST(BlockOperator, ProblemOutlivesItsModels) {
+  const Hybrid h;
+  GlobalProblem problem;
+  {
+    const RomModel tsv = tsv_model();
+    const RomModel dummy = dummy_model();
+    problem = assemble_global(h.grid, tsv, &dummy, h.mask, h.load);
+  }
+  GlobalProblem expected_problem = h.problem();
+  const Vec expected = solve_global(expected_problem, h.bc());
+  EXPECT_EQ(solve_global(problem, h.bc()), expected);
 }
 
 }  // namespace
