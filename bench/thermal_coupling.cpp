@@ -148,10 +148,9 @@ int main(int argc, char** argv) {
       const double factor_seconds = after_case.delta(before_case, "rom.global.factor_seconds");
       record.set("global_factor_seconds", factor_seconds)
           .set("global_factor_nnz", factor_nnz)
-          .set("global_fill_ratio", after_case.value("rom.global.fill_ratio"))
-          .set("global_ordering", result.stats.solver_ordering);
-      std::printf("   global factor: %s ordering, nnz(L) = %lld (fill %.2fx, %.3fs)\n",
-                  result.stats.solver_ordering.c_str(), static_cast<long long>(factor_nnz),
+          .set("global_fill_ratio", after_case.value("rom.global.fill_ratio"));
+      std::printf("   global factor: nnz(L) = %lld (fill %.2fx, %.3fs)\n",
+                  static_cast<long long>(factor_nnz),
                   after_case.value("rom.global.fill_ratio"), factor_seconds);
     }
     records.push_back(std::move(record));
@@ -206,8 +205,7 @@ int main(int argc, char** argv) {
                                              result.transient.time_average.end());
     std::printf("%5dx%-3d %8d %12.3f %12.3f %12.3f %12.3f %10.1f\n", edge, edge, num_steps,
                 factor_seconds, step_seconds, env_max, avg_max, peak);
-    std::printf("stepper factor: %s ordering, nnz(L) = %lld (fill %.2fx)\n",
-                result.thermal_stats.ordering.c_str(),
+    std::printf("stepper factor: nnz(L) = %lld (fill %.2fx)\n",
                 static_cast<long long>(after_case.value("thermal.transient.factor_nnz")),
                 after_case.value("thermal.transient.fill_ratio"));
     records.push_back(ms::util::JsonObject()
@@ -226,7 +224,6 @@ int main(int argc, char** argv) {
                                    after_case.value("thermal.transient.factor_nnz")))
                           .set("stepper_fill_ratio",
                                after_case.value("thermal.transient.fill_ratio"))
-                          .set("stepper_ordering", result.thermal_stats.ordering)
                           .set("envelope_dt_max", env_max)
                           .set("time_average_dt_max", avg_max)
                           .set("peak_von_mises", peak)
@@ -256,10 +253,10 @@ int main(int argc, char** argv) {
     const auto package_factor_nnz =
         static_cast<std::int64_t>(after_package.value("fem.factor_nnz"));
     const double package_fill_ratio = after_package.value("fem.fill_ratio");
-    std::printf("coarse package solve: %.2f s (%d dofs; factor %.2f s, %s ordering, "
-                "nnz(L) = %lld, fill %.2fx)\n",
+    std::printf("coarse package solve: %.2f s (%d dofs; factor %.2f s, nnz(L) = %lld, "
+                "fill %.2fx)\n",
                 package_seconds, static_cast<int>(after_package.value("fem.num_dofs")),
-                package_factor_seconds, package->stats().ordering.c_str(),
+                package_factor_seconds,
                 static_cast<long long>(package_factor_nnz), package_fill_ratio);
     (void)sim.prepare_local_stage(/*with_dummy=*/rings > 0);
 
@@ -304,7 +301,6 @@ int main(int argc, char** argv) {
                           .set("package_factor_seconds", package_factor_seconds)
                           .set("package_factor_nnz", package_factor_nnz)
                           .set("package_fill_ratio", package_fill_ratio)
-                          .set("package_ordering", package->stats().ordering)
                           .set("thermal_seconds", thermal_seconds)
                           .set("thermal_dofs", static_cast<std::int64_t>(
                                                    after_case.value("thermal.steady.num_dofs")))

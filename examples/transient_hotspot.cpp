@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
   config.global.method = "direct";
   config.coupling.solve.method = "direct";
   config.coupling.transient.time_step = 1e-6 * cli.get_double("dt-us");
-  config.coupling.transient.scheme = cli.get_string("scheme");
+  config.coupling.transient.scheme = ms::thermal::parse_theta_scheme(cli.get_string("scheme"));
 
   const double pitch = config.geometry.pitch;
   const double extent = blocks * pitch;
@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
               "%s\n\n",
               blocks, blocks, cycles, 1e6 * period, 100.0 * duty,
               1e6 * config.coupling.transient.time_step,
-              config.coupling.transient.scheme.c_str());
+              cli.get_string("scheme").c_str());
 
   ms::sweep::ScenarioSpec spec;
   spec.analysis = ms::sweep::AnalysisKind::kTransient;

@@ -35,7 +35,6 @@ struct RunStats {
   double factor_seconds = 0.0;        ///< inside solve_seconds
   la::offset_t factor_nnz = 0;        ///< nnz(L) of the global factor
   double fill_ratio = 0.0;            ///< nnz(L) / nnz(tril(K))
-  std::string solver_ordering;        ///< "amd" / "rcm" / "natural"
   /// Set when the global factorization was rescued by the diagonal
   /// shift-retry ladder (la/shift_retry.hpp): results are usable but solve
   /// A + shift*I rather than A.

@@ -105,16 +105,11 @@ double MoreStressSimulator::prepare_local_stage(bool with_dummy) {
 
 namespace {
 
-/// The factorization options every factor-cache key renders: each changes
-/// the factor's values or sparsity, so callers differing only here must not
-/// share an entry. (parallel_numeric is excluded: the factor is bitwise
-/// identical with it on or off.)
+/// The factorization options every factor-cache key renders: the panel
+/// width changes the factor's rounding, so callers differing only here must
+/// not share an entry.
 std::string factor_options_tag(const la::SparseCholesky::Options& factor) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "o%d_m%d_w%d_r%.17g", static_cast<int>(factor.ordering),
-                static_cast<int>(factor.method), static_cast<int>(factor.max_supernode_width),
-                factor.relax_supernodes);
-  return buf;
+  return "w" + std::to_string(factor.max_supernode_width);
 }
 
 /// One place that maps GlobalSolveStats onto RunStats — the multi-load and
@@ -127,7 +122,6 @@ void copy_solve_stats(RunStats& stats, const rom::GlobalSolveStats& solve) {
   stats.factor_seconds = solve.factor_seconds;
   stats.factor_nnz = solve.factor_nnz;
   stats.fill_ratio = solve.fill_ratio;
-  stats.solver_ordering = solve.ordering;
   stats.degraded = solve.degraded;
   stats.diagonal_shift = solve.diagonal_shift;
 }
@@ -362,9 +356,10 @@ std::string thermal_transient_key(const mesh::HexMesh& mesh,
   h = util::fnv1a(conductivity.through_plane, h);
   h = util::fnv1a(capacities, h);
   char buf[288];
-  std::snprintf(buf, sizeof(buf), "thermT_n%lld_e%lld_f%.17g_dt%.17g_%s_l%d_%s_%016llx",
+  std::snprintf(buf, sizeof(buf), "thermT_n%lld_e%lld_f%.17g_dt%.17g_s%d_l%d_%s_%016llx",
                 static_cast<long long>(mesh.num_nodes()), static_cast<long long>(mesh.num_elems()),
-                options.base.sink_film_coefficient, options.time_step, options.scheme.c_str(),
+                options.base.sink_film_coefficient, options.time_step,
+                static_cast<int>(options.scheme),
                 options.lumped_capacitance ? 1 : 0,
                 factor_options_tag(options.base.factor).c_str(),
                 static_cast<unsigned long long>(h));

@@ -68,7 +68,6 @@ la::FactorCache::Entry factor_spd(la::CsrMatrix& a, const DirichletBc* bc,
   stats.factor_nnz = entry.factor->factor_nnz();
   stats.fill_ratio = entry.factor->fill_ratio();
   stats.num_supernodes = entry.factor->num_supernodes();
-  stats.ordering = entry.factor->ordering_name();
   stats.degraded = entry.diagonal_shift != 0.0;
   stats.diagonal_shift = entry.diagonal_shift;
   return entry;

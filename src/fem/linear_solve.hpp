@@ -36,8 +36,7 @@ struct FactorStats {
   double factor_seconds = 0.0;    ///< the one Cholesky factorization
   la::offset_t factor_nnz = 0;    ///< nnz(L), diagonal included
   double fill_ratio = 0.0;        ///< nnz(L) / nnz(tril(A))
-  idx_t num_supernodes = 0;       ///< 0 on the simplicial back end
-  std::string ordering;           ///< "amd" / "rcm" / "natural"
+  idx_t num_supernodes = 0;       ///< dense column panels of L
   /// Factorizations this call performed: 1 when it factored, 0 on a factor
   /// cache hit and on the Krylov paths.
   int num_factorizations = 0;

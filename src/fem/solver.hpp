@@ -22,7 +22,7 @@ struct FemSolveOptions {
   std::string precond = "ssor";   ///< iterative paths: "none", "jacobi", "ssor"
   double rel_tol = 1e-7;
   idx_t max_iterations = 30000;
-  /// Direct-path factorization: ordering + supernodal/simplicial back end.
+  /// Direct-path factorization: the supernode width cap.
   la::SparseCholesky::Options factor;
 };
 

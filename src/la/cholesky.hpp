@@ -1,17 +1,11 @@
 #pragma once
-// Sparse Cholesky (L L^T) for SPD systems. Two numeric back ends share one
-// symbolic analysis (elimination tree + column counts, CSparse style):
-//
-//  - supernodal (default): columns with identical structure are factored as
-//    dense column panels with register-tiled rank-k updates — the fast path
-//    for the 3D FEM matrices every solve in this repository produces.
-//  - simplicial: the scalar up-looking column-at-a-time loop, kept as the
-//    reference/fallback implementation.
-//
-// Orderings: approximate minimum degree (default — far less fill than RCM
-// on 3D hex meshes), reverse Cuthill-McKee, or natural. The permuted matrix
-// is additionally postordered by the elimination tree so supernode columns
-// land consecutively (fill-neutral).
+// Sparse Cholesky (L L^T) for SPD systems, one path: approximate minimum
+// degree ordering (far less fill than bandwidth orderings on 3D hex meshes),
+// an elimination-tree postorder so supernode columns land consecutively
+// (fill-neutral), and the supernodal numeric phase — columns with identical
+// structure factor as dense column panels with register-tiled rank-k
+// updates, independent etree subtrees concurrently under OpenMP (bitwise
+// independent of the thread count) — followed by multi-RHS panel solves.
 //
 // This is the workhorse of the one-shot local stage (one factorization,
 // n+1 basis solves — batched via solve_multi), the global direct path, the
@@ -28,32 +22,10 @@ namespace ms::la {
 
 class SparseCholesky {
  public:
-  /// Fill-reducing pre-ordering of the matrix.
-  enum class Ordering { kAmd, kRcm, kNatural };
-  /// Numeric back end.
-  enum class Method { kSupernodal, kSimplicial };
-
   struct Options {
-    Ordering ordering = Ordering::kAmd;
-    Method method = Method::kSupernodal;
     /// Column cap per supernodal panel (keeps the dense working set near
     /// the register/cache sweet spot).
     idx_t max_supernode_width = 48;
-    /// Relaxed supernode amalgamation: merge adjacent etree child/parent
-    /// supernodes with near-identical structure into one wider panel when
-    /// the explicit zeros introduced stay within this fraction of the merged
-    /// panel's trapezoid (0 disables; 0.1-0.3 is typical). Values are
-    /// unchanged — padded entries are exact zeros — but factor_nnz and
-    /// memory_bytes count the padding, and fewer/wider panels shift the
-    /// numeric phase further into the dense rank-k kernels.
-    double relax_supernodes = 0.0;
-    /// Run the supernodal numeric phase's subtree pass under OpenMP
-    /// (independent elimination-tree subtrees factor concurrently; the
-    /// serial top pass consumes their deferred updates in a fixed order).
-    /// The schedule is independent of the thread count, so the factor is
-    /// bitwise identical with the flag on or off. Ignored by the simplicial
-    /// back end.
-    bool parallel_numeric = true;
   };
 
   /// Factor a symmetric positive definite matrix (full symmetric storage).
@@ -95,19 +67,17 @@ class SparseCholesky {
 
   [[nodiscard]] idx_t order() const { return n_; }
 
-  /// Nonzeros of L, diagonal included (supernodal: the panel trapezoids).
+  /// Nonzeros of L, diagonal included (the panel trapezoids).
   [[nodiscard]] offset_t factor_nnz() const;
 
   /// nnz(L) / nnz(tril(A)) — 1.0 means no fill.
   [[nodiscard]] double fill_ratio() const;
 
-  /// Supernode count (0 on the simplicial back end).
-  [[nodiscard]] idx_t num_supernodes() const;
+  [[nodiscard]] idx_t num_supernodes() const { return snf_.num_supernodes; }
 
-  [[nodiscard]] Ordering ordering() const { return options_.ordering; }
-  [[nodiscard]] Method method() const { return options_.method; }
-  [[nodiscard]] const char* ordering_name() const;
-  [[nodiscard]] const char* method_name() const;
+  /// The fill-reducing permutation the factor lives in: L L^T = P A P^T
+  /// with (P A P^T)(i, j) = A(perm[i], perm[j]).
+  [[nodiscard]] const Permutation& permutation() const { return perm_; }
 
   /// Bytes held to produce and apply the factor: the factor itself
   /// (values + patterns + supernode metadata), the permutation, the solve
@@ -116,28 +86,16 @@ class SparseCholesky {
   /// memory ledger must own).
   [[nodiscard]] std::size_t memory_bytes() const;
 
-  /// Export L (permuted ordering, compressed sparse column, diagonal first
-  /// per column on the simplicial back end, ascending rows on both) for
-  /// tests and diagnostics.
+  /// Export L (permuted ordering, compressed sparse column, ascending rows,
+  /// diagonal first) for tests and diagnostics.
   void extract_factor(std::vector<offset_t>& col_ptr, std::vector<idx_t>& row_idx,
                       std::vector<double>& values) const;
 
  private:
-  void factorize(const CsrMatrix& a); // up-looking numeric phase (simplicial)
-
   idx_t n_ = 0;
-  Options options_;
   Permutation perm_;
   offset_t matrix_lower_nnz_ = 0;       // nnz(tril(A)), for fill_ratio
   std::size_t permuted_matrix_bytes_ = 0;
-
-  // Simplicial back end: L column-major (CSC), diagonal first per column.
-  std::vector<idx_t> parent_;  // elimination tree
-  std::vector<offset_t> lp_;
-  std::vector<idx_t> li_;
-  std::vector<double> lx_;
-
-  // Supernodal back end.
   SupernodalFactor snf_;
 
   mutable Vec work_;  // permuted rhs/solution scratch

@@ -1,9 +1,8 @@
 #pragma once
-// Fill-reducing / bandwidth-reducing orderings for the sparse Cholesky
-// factorization. Reverse Cuthill-McKee keeps the band tight on chain-like
-// graphs; approximate minimum degree (the default for the direct solver)
-// produces far less fill on the 3D hex-mesh matrices this repository
-// assembles. Both are deterministic.
+// The fill-reducing ordering of the sparse Cholesky factorization:
+// approximate minimum degree, deterministic, with far less fill than
+// bandwidth (Cuthill-McKee) orderings on the 3D hex-mesh matrices this
+// repository assembles; plus the permutation helpers around it.
 
 #include <vector>
 
@@ -26,18 +25,14 @@ struct Permutation {
   [[nodiscard]] Permutation then(const Permutation& second) const;
 };
 
-/// Reverse Cuthill-McKee ordering of a structurally symmetric matrix.
-/// Components are seeded from minimum-degree pseudo-peripheral nodes.
-Permutation reverse_cuthill_mckee(const CsrMatrix& a);
-
 /// Approximate minimum degree ordering (Amestoy/Davis/Duff) of a
 /// structurally symmetric matrix: quotient-graph elimination with element
 /// absorption (aggressive), mass elimination, and indistinguishable-node
 /// (supervariable) detection via hashing. External degrees are the AMD upper
 /// bound, so each pivot step costs O(|affected lists|) instead of a full
 /// set union. Deterministic: ties break towards the lowest node index.
-/// On 3D FEM matrices the Cholesky fill is typically several times lower
-/// than under RCM.
+/// On 3D FEM matrices the Cholesky fill is several times lower than under
+/// the identity order or a reverse Cuthill-McKee (bandwidth) order.
 Permutation amd_ordering(const CsrMatrix& a);
 
 /// B = P A P^T for a symmetric permutation (perm[new] = old).
@@ -48,8 +43,5 @@ Vec permute_vector(const Vec& x, const Permutation& p);
 
 /// Inverse apply: out[perm[new]] = in[new].
 Vec unpermute_vector(const Vec& x, const Permutation& p);
-
-/// Bandwidth max |i - j| over stored entries (diagnostic for tests).
-idx_t bandwidth(const CsrMatrix& a);
 
 }  // namespace ms::la

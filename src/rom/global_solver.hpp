@@ -27,7 +27,7 @@ struct GlobalSolveOptions {
   double rel_tol = 1e-9;
   idx_t max_iterations = 20000;
   idx_t gmres_restart = 80;
-  /// Direct-path factorization: ordering + supernodal/simplicial back end.
+  /// Direct-path factorization: the supernode width cap.
   la::SparseCholesky::Options factor;
   /// Cross-call factorization memoization (direct path only; the Krylov
   /// paths factor nothing and ignore it). When `factor_cache` is set and

@@ -27,8 +27,8 @@ struct LocalStageOptions {
   int nodes_z = 4;
   int samples_per_block = 100;      ///< s: mid-plane sample grid is s x s
   bool sample_displacements = true; ///< also store per-basis displacements
-  /// Direct-solver configuration of the one A_ff factorization (ordering +
-  /// supernodal/simplicial back end).
+  /// Direct-solver configuration of the one A_ff factorization (the
+  /// supernode width cap).
   la::SparseCholesky::Options factor;
   /// The n+1 basis right-hand sides are solved in column panels of this
   /// width through SparseCholesky::solve_multi, so the factor is streamed

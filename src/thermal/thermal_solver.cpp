@@ -148,17 +148,12 @@ TemperatureField solve_power_map(const mesh::HexMesh& mesh, const fem::MaterialT
                          stats);
 }
 
-namespace {
-
-/// θ of the implicit scheme; throws on an unknown name.
-double scheme_theta(const std::string& scheme) {
-  if (scheme == "backward-euler") return 1.0;
-  if (scheme == "crank-nicolson") return 0.5;
+ThetaScheme parse_theta_scheme(const std::string& name) {
+  if (name == "backward-euler") return ThetaScheme::kBackwardEuler;
+  if (name == "crank-nicolson") return ThetaScheme::kCrankNicolson;
   throw std::invalid_argument(
       "solve_power_trace: scheme must be 'backward-euler' or 'crank-nicolson'");
 }
-
-}  // namespace
 
 TransientTemperatureResult solve_power_trace(const mesh::HexMesh& mesh,
                                              const ConductivityField& conductivity,
@@ -167,7 +162,7 @@ TransientTemperatureResult solve_power_trace(const mesh::HexMesh& mesh,
                                              const BlockReduction& reduction,
                                              const TransientSolveOptions& options,
                                              TransientSolveStats* stats) {
-  const double theta = scheme_theta(options.scheme);
+  const double theta = options.scheme == ThetaScheme::kBackwardEuler ? 1.0 : 0.5;
   if (options.base.sink_film_coefficient < 0.0) {
     throw std::invalid_argument(
         "solve_power_trace: sink film coefficient must be >= 0 (0 = ideal sink)");

@@ -39,8 +39,8 @@ struct ThermalSolveOptions {
   /// Film coefficient of the z-min sink [W/(m^2 K)]; 0 means an ideal sink
   /// (Dirichlet T = ambient on the whole z-min face).
   double sink_film_coefficient = 0.0;
-  /// Direct-path (and transient θ-stepper) factorization: ordering +
-  /// supernodal/simplicial back end.
+  /// Direct-path (and transient θ-stepper) factorization: the supernode
+  /// width cap.
   la::SparseCholesky::Options factor;
   /// Cross-call factorization memoization (direct path and θ-stepper only;
   /// the iterative paths ignore it). When `factor_cache` is set and `factor_key` non-empty,
@@ -83,6 +83,14 @@ TemperatureField solve_power_map(const mesh::HexMesh& mesh, const fem::MaterialT
                                  const PowerMap& power, const ThermalSolveOptions& options = {},
                                  ThermalSolveStats* stats = nullptr);
 
+/// Implicit θ-scheme of the transient solve: backward Euler (θ = 1) or
+/// Crank–Nicolson (θ = 1/2).
+enum class ThetaScheme { kBackwardEuler, kCrankNicolson };
+
+/// Parse "backward-euler" | "crank-nicolson". Throws std::invalid_argument on
+/// any other name.
+ThetaScheme parse_theta_scheme(const std::string& name);
+
 /// Controls of the implicit transient conduction solve. The time grid is
 /// uniform: t_n = n * time_step for n = 0..num_steps. Stability is
 /// unconditional for both schemes (backward Euler damps, Crank–Nicolson is
@@ -93,7 +101,7 @@ struct TransientSolveOptions {
   double time_step = 1e-5;  ///< Δt [s]
   /// Number of implicit steps; 0 derives ceil(trace.duration() / time_step).
   int num_steps = 0;
-  std::string scheme = "backward-euler";  ///< or "crank-nicolson"
+  ThetaScheme scheme = ThetaScheme::kBackwardEuler;
   /// Row-sum lumping of the capacitance matrix (diagonal M, the robust
   /// default); false keeps the consistent tensor-product mass.
   bool lumped_capacitance = true;

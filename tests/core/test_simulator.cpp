@@ -97,15 +97,15 @@ TEST(Simulator, SubmodelRejectsNegativeRings) {
 
 TEST(Simulator, ConductionFactorKeysCoverFactorOptions) {
   // Two simulators share one factor cache and differ only in the conduction
-  // factorization's supernode relaxation, which changes the factor. The
-  // second one must build its own conduction factor (the global stage's
+  // factorization's supernode width cap, which changes the factor's panels.
+  // The second one must build its own conduction factor (the global stage's
   // options are equal, so its factor is shared) and match an uncached run
   // bit for bit, for the steady key and for the θ-stepper key.
   SimulationConfig base = small_config();
   base.global.method = "direct";
   base.coupling.solve.method = "direct";
-  SimulationConfig relaxed = base;
-  relaxed.coupling.solve.factor.relax_supernodes = 0.5;
+  SimulationConfig narrow = base;
+  narrow.coupling.solve.factor.max_supernode_width = 12;
 
   sweep::ScenarioSpec steady = array_spec(4, 4);
   steady.load = sweep::LoadKind::kPower;
@@ -122,12 +122,12 @@ TEST(Simulator, ConductionFactorKeysCoverFactorOptions) {
     (void)first.simulate(spec);
     const std::uint64_t misses = cache.misses();
 
-    MoreStressSimulator second(relaxed);
+    MoreStressSimulator second(narrow);
     second.set_factor_cache(&cache);
     const sweep::ScenarioResult shared = second.simulate(spec);
     EXPECT_EQ(cache.misses(), misses + 1);
 
-    MoreStressSimulator uncached(relaxed);
+    MoreStressSimulator uncached(narrow);
     const sweep::ScenarioResult fresh = uncached.simulate(spec);
     EXPECT_EQ(shared.base().von_mises, fresh.base().von_mises);
     if (spec.analysis == sweep::AnalysisKind::kSteady) {

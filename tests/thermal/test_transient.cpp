@@ -54,7 +54,7 @@ TEST(TransientConduction, ConstantTraceRelaxesToSteadyState) {
   TransientSolveOptions options;
   options.time_step = 1e-4;
   options.num_steps = 80;
-  options.scheme = "backward-euler";
+  options.scheme = ThetaScheme::kBackwardEuler;
   BlockReduction reduction;
   reduction.blocks_x = reduction.blocks_y = 1;
   reduction.pitch = 30.0;
@@ -102,7 +102,7 @@ struct RcCase {
   double reference = 25.0;  ///< ΔT reduction reference (default: ambient)
   [[nodiscard]] double tau() const { return capacity * 20.0 * 1e-6 / film; }
 
-  [[nodiscard]] TransientTemperatureResult run(const std::string& scheme, double dt,
+  [[nodiscard]] TransientTemperatureResult run(ThetaScheme scheme, double dt,
                                                int steps) const {
     const la::Vec k(1, 1.0e6);  // ~isothermal: conduction much faster than the film
     const la::Vec c(1, capacity);
@@ -140,8 +140,8 @@ TEST(TransientConduction, LumpedRcCoolingMatchesAnalyticCurve) {
   // exponential tightly (BE first order ~ dt/tau, CN ~ (dt/tau)^2).
   const int steps = 100;
   const double dt = 2.0 * rc.tau() / steps;
-  EXPECT_LT(rc.error_vs_analytic(rc.run("backward-euler", dt, steps)), 2e-2);
-  EXPECT_LT(rc.error_vs_analytic(rc.run("crank-nicolson", dt, steps)), 5e-4);
+  EXPECT_LT(rc.error_vs_analytic(rc.run(ThetaScheme::kBackwardEuler, dt, steps)), 2e-2);
+  EXPECT_LT(rc.error_vs_analytic(rc.run(ThetaScheme::kCrankNicolson, dt, steps)), 5e-4);
 }
 
 TEST(TransientConduction, CrankNicolsonConvergesAtSecondOrder) {
@@ -149,14 +149,14 @@ TEST(TransientConduction, CrankNicolsonConvergesAtSecondOrder) {
   const double horizon = 2.0 * rc.tau();
   std::vector<double> errors;
   for (int steps : {25, 50, 100}) {
-    errors.push_back(rc.error_vs_analytic(rc.run("crank-nicolson", horizon / steps, steps)));
+    errors.push_back(rc.error_vs_analytic(rc.run(ThetaScheme::kCrankNicolson, horizon / steps, steps)));
   }
   // Successive halvings of dt must shrink the error ~4x (allow 3.4x for the
   // saturating tail); backward Euler at the same resolution only halves it.
   EXPECT_GT(errors[0] / errors[1], 3.4);
   EXPECT_GT(errors[1] / errors[2], 3.4);
-  const double be_coarse = rc.error_vs_analytic(rc.run("backward-euler", horizon / 25, 25));
-  const double be_fine = rc.error_vs_analytic(rc.run("backward-euler", horizon / 50, 50));
+  const double be_coarse = rc.error_vs_analytic(rc.run(ThetaScheme::kBackwardEuler, horizon / 25, 25));
+  const double be_fine = rc.error_vs_analytic(rc.run(ThetaScheme::kBackwardEuler, horizon / 50, 50));
   EXPECT_GT(be_coarse / be_fine, 1.7);
   EXPECT_LT(be_coarse / be_fine, 2.6);
 }
@@ -168,7 +168,7 @@ TEST(TransientConduction, EnvelopeTracksLargestMagnitudeWhenDeltaTIsNegative) {
   // would wrongly pick the initial 0.
   RcCase rc;
   rc.reference = rc.t0;
-  const TransientTemperatureResult result = rc.run("crank-nicolson", rc.tau() / 25.0, 50);
+  const TransientTemperatureResult result = rc.run(ThetaScheme::kCrankNicolson, rc.tau() / 25.0, 50);
   EXPECT_LT(result.peak_envelope[0], -0.8 * (rc.t0 - rc.ambient));
   EXPECT_DOUBLE_EQ(result.peak_envelope[0], result.block_delta_t.back()[0]);
   EXPECT_DOUBLE_EQ(result.block_delta_t.front()[0], 0.0);
@@ -215,10 +215,11 @@ TEST(TransientConduction, RejectsBadOptions) {
   const PowerTrace trace = PowerTrace::constant(PowerMap(1, 1, 10.0, 10.0, 1.0), 1e-3);
   BlockReduction reduction;
   reduction.pitch = 10.0;
+  // The scheme name is parsed once, where it enters (the CLI).
+  EXPECT_EQ(parse_theta_scheme("backward-euler"), ThetaScheme::kBackwardEuler);
+  EXPECT_EQ(parse_theta_scheme("crank-nicolson"), ThetaScheme::kCrankNicolson);
+  EXPECT_THROW(parse_theta_scheme("forward-euler"), std::invalid_argument);
   TransientSolveOptions options;
-  options.scheme = "forward-euler";
-  EXPECT_THROW(solve_power_trace(mesh, k, c, trace, reduction, options), std::invalid_argument);
-  options = {};
   options.time_step = 0.0;
   EXPECT_THROW(solve_power_trace(mesh, k, c, trace, reduction, options), std::invalid_argument);
   options = {};

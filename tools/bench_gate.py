@@ -10,7 +10,9 @@ over all timing metrics, then flags any metric whose ratio exceeds
 scale * --max-slowdown AND whose absolute excess clears --abs-floor (so
 microsecond-scale timings cannot trip the gate on noise). Physics outputs
 (peak stress, ΔT extremes) are compared at a tight relative tolerance as a
-correctness-drift tripwire.
+correctness-drift tripwire. A numeric baseline field the gate compares that
+is missing or non-numeric in the current run fails the gate: a metric that
+vanished cannot have passed.
 
 Cases carrying a "trace_overhead_ratio" field (instrumented vs disabled
 wall time of the same solve) are additionally gated against
@@ -36,6 +38,10 @@ import argparse
 import json
 import statistics
 import sys
+
+
+def is_number(value):
+    return isinstance(value, (int, float))
 
 
 def case_key(case):
@@ -65,7 +71,7 @@ def load_cases(path):
 VALUE_FIELDS = ("peak_von_mises", "dt_min", "dt_max", "envelope_dt_max", "time_average_dt_max",
                 # Solver determinism tripwires: orderings and supernode
                 # detection are deterministic, so factor fill may not drift.
-                "rcm_factor_nnz", "amd_factor_nnz", "amd_fill_ratio", "num_supernodes",
+                "amd_factor_nnz", "amd_fill_ratio", "num_supernodes",
                 "stepper_factor_nnz", "stepper_fill_ratio",
                 "package_factor_nnz", "package_fill_ratio",
                 # Reliability tripwires: the batched fatigue panel must keep
@@ -123,16 +129,27 @@ def main():
     if missing:
         failures.append(f"cases missing from the current run: {missing}")
 
+    # Every numeric baseline field the loops below compare must still be a
+    # number in the current run; they skip it otherwise.
+    for key, base_case in sorted(baseline.items(), key=str):
+        if key not in current:
+            continue
+        for metric, base in sorted(base_case.items()):
+            compared = metric.endswith("_seconds") or metric in VALUE_FIELDS
+            if compared and is_number(base) and not is_number(current[key].get(metric)):
+                failures.append(f"{key} {metric}: missing or non-numeric in the current run "
+                                f"(baseline {base})")
+
     # Machine scale: median of all timing ratios over non-trivial baselines.
     pairs = []  # (key, metric, base, new)
     for key, base_case in baseline.items():
         if key not in current:
             continue
         for metric, base in base_case.items():
-            if not metric.endswith("_seconds") or not isinstance(base, (int, float)):
+            if not metric.endswith("_seconds") or not is_number(base):
                 continue
             new = current[key].get(metric)
-            if isinstance(new, (int, float)):
+            if is_number(new):
                 pairs.append((key, metric, float(base), float(new)))
     ratios = [new / base for _, _, base, new in pairs if base >= args.abs_floor]
     scale = statistics.median(ratios) if ratios else 1.0
@@ -161,7 +178,7 @@ def main():
         for field in VALUE_FIELDS:
             base = base_case.get(field)
             new = current[key].get(field)
-            if not isinstance(base, (int, float)) or not isinstance(new, (int, float)):
+            if not is_number(base) or not is_number(new):
                 continue
             if field.endswith("_per_second"):
                 # Inverted throughput budget: queries/second may not fall
@@ -202,7 +219,7 @@ def main():
     # keeps millisecond-scale cases from tripping it on scheduler noise.
     for key, case in sorted(current.items(), key=str):
         ratio = case.get("trace_overhead_ratio")
-        if not isinstance(ratio, (int, float)):
+        if not is_number(ratio):
             continue
         excess = float(case.get("enabled_seconds", 0.0)) - float(case.get("disabled_seconds", 0.0))
         print(f"  {key} trace overhead: ratio {ratio:.3f} "
@@ -218,7 +235,7 @@ def main():
     # flight recorder, attribution sinks, event log).
     for key, case in sorted(current.items(), key=str):
         ratio = case.get("telemetry_overhead_ratio")
-        if not isinstance(ratio, (int, float)):
+        if not is_number(ratio):
             continue
         excess = (float(case.get("telemetry_enabled_seconds", 0.0)) -
                   float(case.get("telemetry_disabled_seconds", 0.0)))
