@@ -148,9 +148,9 @@ void BM_SparseCholeskySolve(benchmark::State& state) {
   const la::SparseCholesky chol(a);
   const la::idx_t nrhs = static_cast<la::idx_t>(state.range(0));
   la::Vec b(static_cast<std::size_t>(a.rows()) * nrhs, 1.0);
-  la::Vec x(b.size());
+  la::Vec x(b.size()), work;
   for (auto _ : state) {
-    chol.solve_multi(b.data(), x.data(), nrhs);
+    chol.solve_multi(b.data(), x.data(), nrhs, work);
     benchmark::DoNotOptimize(x.data());
   }
   state.SetItemsProcessed(state.iterations() * nrhs);
@@ -217,16 +217,16 @@ ms::util::JsonObject solver_case(const char* scenario, const la::CsrMatrix& a, i
 
   const la::SparseCholesky chol(a);
   const la::idx_t n = a.rows();
-  la::Vec b1(n, 1.0), x1(n);
+  la::Vec b1(n, 1.0), x1(n), work;
   const int solve_reps = 5;
   const double solve_seconds = best_seconds(solve_reps, [&] {
-    chol.solve_multi(b1.data(), x1.data(), 1);
+    chol.solve_multi(b1.data(), x1.data(), 1, work);
     benchmark::DoNotOptimize(x1.data());
   });
   const la::idx_t panel = 8;
   la::Vec b8(static_cast<std::size_t>(n) * panel, 1.0), x8(b8.size());
   const double panel_seconds = best_seconds(solve_reps, [&] {
-    chol.solve_multi(b8.data(), x8.data(), panel);
+    chol.solve_multi(b8.data(), x8.data(), panel, work);
     benchmark::DoNotOptimize(x8.data());
   });
 

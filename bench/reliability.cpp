@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
       after_case.delta(before_case, "thermal.transient.factor_seconds") +
       after_case.delta(before_case, "thermal.transient.step_seconds");
   const double panel_seconds = after_case.delta(before_case, "core.run.assemble_seconds") +
-                               after_case.delta(before_case, "core.run.solve_seconds");
+                               after_case.delta(before_case, "rom.global.solve_seconds");
   const double damage_seconds = after_case.delta(before_case, "reliability.assess_seconds");
   std::printf("%5dx%-3d %8d %8d %12.3f %12.3f %12.3f %12.3f %12.3f\n", blocks, blocks,
               result.thermal_stats.num_steps, static_cast<int>(result.solve_stats.num_rhs),

@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
         after_case.delta(before_case, "thermal.steady.assemble_seconds") +
         after_case.delta(before_case, "thermal.steady.solve_seconds");
     const double global_seconds = after_case.delta(before_case, "core.run.assemble_seconds") +
-                                  after_case.delta(before_case, "core.run.solve_seconds") +
+                                  after_case.delta(before_case, "rom.global.solve_seconds") +
                                   after_case.delta(before_case, "core.run.reconstruct_seconds");
     const double peak = peak_of(result.von_mises);
     std::printf("%5dx%-3d %12.3f %12.3f %12.3f %12.3f %10.1f\n", edge, edge, thermal_seconds,
@@ -136,7 +136,7 @@ int main(int argc, char** argv) {
         .set("thermal_seconds", thermal_seconds)
         .set("thermal_dofs", static_cast<std::int64_t>(after_case.value("thermal.steady.num_dofs")))
         .set("global_seconds", global_seconds)
-        .set("global_dofs", static_cast<std::int64_t>(after_case.value("core.run.global_dofs")))
+        .set("global_dofs", static_cast<std::int64_t>(after_case.value("rom.global.num_dofs")))
         .set("dt_min", result.load.min())
         .set("dt_max", result.load.max())
         .set("peak_von_mises", peak)
@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
         after_case.delta(before_case, "thermal.transient.assemble_seconds") + factor_seconds +
         step_seconds;
     const double global_seconds = after_case.delta(before_case, "core.run.assemble_seconds") +
-                                  after_case.delta(before_case, "core.run.solve_seconds") +
+                                  after_case.delta(before_case, "rom.global.solve_seconds") +
                                   after_case.delta(before_case, "core.run.reconstruct_seconds");
     const auto num_steps =
         static_cast<int>(after_case.count_delta(before_case, "thermal.transient.steps"));
@@ -285,7 +285,7 @@ int main(int argc, char** argv) {
         after_case.delta(before_case, "thermal.steady.assemble_seconds") +
         after_case.delta(before_case, "thermal.steady.solve_seconds");
     const double global_seconds = after_case.delta(before_case, "core.run.assemble_seconds") +
-                                  after_case.delta(before_case, "core.run.solve_seconds") +
+                                  after_case.delta(before_case, "rom.global.solve_seconds") +
                                   after_case.delta(before_case, "core.run.reconstruct_seconds");
     const double peak = peak_of(result.von_mises);
     std::printf("%8s %12s %12s %12s %12s %10s\n", "submodel", "thermal[s]", "global[s]",
@@ -306,7 +306,7 @@ int main(int argc, char** argv) {
                                                    after_case.value("thermal.steady.num_dofs")))
                           .set("global_seconds", global_seconds)
                           .set("global_dofs",
-                               static_cast<std::int64_t>(after_case.value("core.run.global_dofs")))
+                               static_cast<std::int64_t>(after_case.value("rom.global.num_dofs")))
                           .set("dt_min", result.load.min())
                           .set("dt_max", result.load.max())
                           .set("peak_von_mises", peak)

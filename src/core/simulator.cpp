@@ -126,23 +126,14 @@ void copy_solve_stats(RunStats& stats, const rom::GlobalSolveStats& solve) {
   stats.diagonal_shift = solve.diagonal_shift;
 }
 
-/// Mirror a completed run's RunStats into the registry — the same values the
-/// struct reports, so RunReport and the struct cannot disagree (asserted by
-/// the regression lock in tests/obs).
+/// Record what only the core layer measures: the global stage's solve,
+/// factor and size detail is already published under rom.global.* and the
+/// local stage's cost under rom.local.stage_seconds, each fact once.
 void publish_run_stats(const RunStats& s) {
   auto& reg = obs::MetricRegistry::global();
-  reg.counter("core.run.count").add(1);
   reg.histogram("core.run.assemble_seconds").record(s.assemble_seconds);
-  reg.histogram("core.run.solve_seconds").record(s.solve_seconds);
   reg.histogram("core.run.reconstruct_seconds").record(s.reconstruct_seconds);
-  reg.histogram("core.run.factor_seconds").record(s.factor_seconds);
-  reg.gauge("core.run.local_stage_seconds").set(s.local_stage_seconds);
-  reg.gauge("core.run.global_dofs").set(static_cast<double>(s.global_dofs));
-  reg.gauge("core.run.iterations").set(static_cast<double>(s.iterations));
-  reg.gauge("core.run.converged").set(s.converged ? 1.0 : 0.0);
   reg.gauge("core.run.memory_bytes").set(static_cast<double>(s.memory_bytes));
-  reg.gauge("core.run.factor_nnz").set(static_cast<double>(s.factor_nnz));
-  reg.gauge("core.run.fill_ratio").set(s.fill_ratio);
 }
 
 }  // namespace

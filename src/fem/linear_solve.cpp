@@ -1,12 +1,10 @@
 #include "fem/linear_solve.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
 #include "core/sim_error.hpp"
 #include "la/cg.hpp"
-#include "la/precond.hpp"
 #include "util/fault_injector.hpp"
 #include "util/log.hpp"
 #include "util/timer.hpp"
@@ -83,25 +81,7 @@ std::vector<Vec> solve_direct(la::CsrMatrix& a, std::vector<Vec>& rhs_cases,
   const la::FactorCache::Entry f = factor_spd(a, &bc, spec, stats);
   if (spec.cached()) apply_dirichlet_rhs(*f.matrix, rhs_cases, bc);
   util::WallTimer timer;
-  const std::size_t n = rhs_cases.front().size();
-  const idx_t num_cases = static_cast<idx_t>(rhs_cases.size());
-  Vec panel(n * rhs_cases.size());
-  Vec panel_x(panel.size());
-  for (std::size_t c = 0; c < rhs_cases.size(); ++c) {
-    std::copy(rhs_cases[c].begin(), rhs_cases[c].end(), panel.begin() + c * n);
-  }
-  // A shared cached factor needs caller-owned scratch; a factor this call
-  // owns uses its member workspace, which memory_bytes() below counts.
-  Vec scratch;
-  if (spec.cached()) {
-    f.factor->solve_multi_with(panel.data(), panel_x.data(), num_cases, scratch);
-  } else {
-    f.factor->solve_multi(panel.data(), panel_x.data(), num_cases);
-  }
-  std::vector<Vec> solutions(rhs_cases.size());
-  for (std::size_t c = 0; c < rhs_cases.size(); ++c) {
-    solutions[c].assign(panel_x.begin() + c * n, panel_x.begin() + (c + 1) * n);
-  }
+  std::vector<Vec> solutions = f.factor->solve_multi(rhs_cases);
   stats.triangular_seconds = timer.seconds();
   stats.converged = true;
   stats.matrix_bytes = f.matrix != nullptr ? f.matrix->memory_bytes() : a.memory_bytes();

@@ -20,6 +20,7 @@
 #include "la/cholesky.hpp"
 #include "la/factor_cache.hpp"
 #include "la/gmres.hpp"
+#include "la/precond.hpp"
 #include "la/shift_retry.hpp"
 
 namespace ms::fem {
@@ -83,7 +84,9 @@ la::FactorCache::Entry factor_spd(la::CsrMatrix& a, const DirichletBc* bc,
 struct SolveSpec {
   SolveMethod method = SolveMethod::kCg;
   FactorSpec factor;              ///< direct path
-  std::string precond = "jacobi"; ///< Krylov paths: a la::make_preconditioner name
+  /// Krylov paths; callers parse the public option name once with
+  /// la::parse_preconditioner.
+  la::PreconditionerKind precond = la::PreconditionerKind::kJacobi;
   la::GmresOptions krylov;        ///< tolerances, and the restart of GMRES
   double initial_guess = 0.0;     ///< Krylov start value of every entry
   /// Krylov non-convergence throws core::SimError(kDidNotConverge) when set
@@ -100,8 +103,8 @@ std::vector<Vec> solve_lifted(la::CsrMatrix& a, std::vector<Vec>& rhs_cases,
                               const DirichletBc& bc, const SolveSpec& spec, SolveStats& stats);
 
 /// A lifted SPD operator as the Krylov loop sees it. `apply` and `diagonal`
-/// are all "none" and "jacobi" need, so the operator need not be assembled;
-/// "ssor" sweeps the assembled matrix and requires `matrix`.
+/// are all kNone and kJacobi need, so the operator need not be assembled;
+/// kSsor sweeps the assembled matrix and requires `matrix`.
 struct KrylovOperator {
   std::function<void(const Vec&, Vec&)> apply;  ///< y = A x
   std::function<Vec()> diagonal;                ///< diag(A)

@@ -39,7 +39,9 @@ std::vector<Vec> solve_assembled_cases(AssembledSystem& sys, std::vector<Vec> rh
   spec.factor.options = options.factor;
   // The reference must solve the exact operator: a shifted factor is no oracle.
   spec.factor.shift_retry.enabled = false;
-  spec.precond = options.precond;
+  if (spec.method != SolveMethod::kDirect) {
+    spec.precond = la::parse_preconditioner(options.precond);
+  }
   spec.krylov.rel_tol = options.rel_tol;
   spec.krylov.max_iterations = options.max_iterations;
 

@@ -65,13 +65,15 @@ SparseCholesky::SparseCholesky(const CsrMatrix& a, Options options) {
   }
   // The numeric phase consumes a permuted copy (kept only through
   // construction, but owned by the memory ledger as part of the peak
-  // footprint).
+  // footprint), and the symbolic and numeric phases share one elimination
+  // tree.
   CsrMatrix pa;
+  std::vector<idx_t> parent;
   {
     MS_TRACE_SCOPE("la.cholesky.symbolic");
     obs::ScopedDuration timer(metrics.symbolic_seconds);
     pa = permute_symmetric(a, perm_);
-    std::vector<idx_t> parent = elimination_tree(pa);
+    parent = elimination_tree(pa);
     // Postorder the elimination tree so supernode columns land consecutively
     // (fill-neutral relabeling).
     const std::vector<idx_t> post = etree_postorder(parent);
@@ -105,31 +107,19 @@ SparseCholesky::SparseCholesky(const CsrMatrix& a, Options options) {
   {
     MS_TRACE_SCOPE("la.cholesky.numeric");
     obs::ScopedDuration timer(metrics.numeric_seconds);
-    factorize_supernodal(pa, snf_);
+    factorize_supernodal(pa, parent, snf_);
   }
-  work_.assign(n_, 0.0);
   metrics.factorizations.add(1);
   metrics.factor_nnz.set(static_cast<double>(factor_nnz()));
   metrics.fill_ratio.set(fill_ratio());
   metrics.num_supernodes.set(static_cast<double>(num_supernodes()));
 }
 
-void SparseCholesky::solve_inplace(const Vec& b, Vec& x) const { solve_with(b, x, work_); }
-
-void SparseCholesky::solve_with(const Vec& b, Vec& x, Vec& work) const {
+Vec SparseCholesky::solve(const Vec& b) const {
   assert(static_cast<idx_t>(b.size()) == n_);
-  x.resize(n_);
-  solve_multi_with(b.data(), x.data(), 1, work);
-}
-
-void SparseCholesky::solve_multi(const double* b, double* x, idx_t nrhs) const {
-  solve_multi_with(b, x, nrhs, work_);
-}
-
-Vec SparseCholesky::solve_multi(const Vec& b, idx_t nrhs) const {
-  assert(static_cast<idx_t>(b.size()) == n_ * nrhs);
   Vec x(b.size());
-  solve_multi(b.data(), x.data(), nrhs);
+  Vec work;
+  solve_multi(b.data(), x.data(), 1, work);
   return x;
 }
 
@@ -142,7 +132,8 @@ std::vector<Vec> SparseCholesky::solve_multi(const std::vector<Vec>& cases) cons
               panel.begin() + static_cast<std::size_t>(c) * n_);
   }
   Vec x_panel(panel.size());
-  solve_multi(panel.data(), x_panel.data(), num_cases);
+  Vec work;
+  solve_multi(panel.data(), x_panel.data(), num_cases, work);
   std::vector<Vec> solutions(cases.size());
   for (idx_t c = 0; c < num_cases; ++c) {
     solutions[c].assign(x_panel.begin() + static_cast<std::size_t>(c) * n_,
@@ -151,7 +142,7 @@ std::vector<Vec> SparseCholesky::solve_multi(const std::vector<Vec>& cases) cons
   return solutions;
 }
 
-void SparseCholesky::solve_multi_with(const double* b, double* x, idx_t nrhs, Vec& work) const {
+void SparseCholesky::solve_multi(const double* b, double* x, idx_t nrhs, Vec& work) const {
   assert(nrhs >= 1);
   CholeskyMetrics& metrics = chol_metrics();
   MS_TRACE_SCOPE("la.cholesky.triangular_solve");
@@ -176,12 +167,6 @@ void SparseCholesky::solve_multi_with(const double* b, double* x, idx_t nrhs, Ve
   }
 }
 
-Vec SparseCholesky::solve(const Vec& b) const {
-  Vec x;
-  solve_inplace(b, x);
-  return x;
-}
-
 offset_t SparseCholesky::factor_nnz() const { return snf_.factor_nnz(); }
 
 double SparseCholesky::fill_ratio() const {
@@ -191,8 +176,7 @@ double SparseCholesky::fill_ratio() const {
 }
 
 std::size_t SparseCholesky::memory_bytes() const {
-  return 2 * perm_.perm.size() * sizeof(idx_t) + work_.size() * sizeof(double) +
-         permuted_matrix_bytes_ + snf_.memory_bytes();
+  return 2 * perm_.perm.size() * sizeof(idx_t) + permuted_matrix_bytes_ + snf_.memory_bytes();
 }
 
 void SparseCholesky::extract_factor(std::vector<offset_t>& col_ptr, std::vector<idx_t>& row_idx,

@@ -33,33 +33,17 @@ class SparseCholesky {
   explicit SparseCholesky(const CsrMatrix& a);
   SparseCholesky(const CsrMatrix& a, Options options);
 
-  /// Solve A x = b.
+  /// The one solve: b and x are column-major n x nrhs panels (each
+  /// right-hand side one contiguous column). The factor
+  /// is traversed once for the whole panel, so nrhs solves cost roughly one
+  /// factor sweep of memory traffic instead of nrhs, and per column the
+  /// arithmetic matches the nrhs == 1 call bitwise. `work` is caller-owned
+  /// scratch (resized to n * nrhs), so the factor is never written after
+  /// construction and any number of threads may solve on one factor.
+  void solve_multi(const double* b, double* x, idx_t nrhs, Vec& work) const;
+
+  /// Convenience: solve A x = b with its own scratch.
   [[nodiscard]] Vec solve(const Vec& b) const;
-
-  /// Solve in permuted space with preallocated workspace (hot path for
-  /// repeated solves): x and b are in original ordering.
-  void solve_inplace(const Vec& b, Vec& x) const;
-
-  /// Same, but with caller-provided scratch instead of the shared member
-  /// workspace — safe to call concurrently from multiple threads on one
-  /// factor (the factor itself is immutable after construction). `work` is
-  /// resized on first use.
-  void solve_with(const Vec& b, Vec& x, Vec& work) const;
-
-  /// Multi-RHS panel solve: b and x are column-major n x nrhs blocks (each
-  /// right-hand side one contiguous column). The factor is traversed once
-  /// for the whole panel, so nrhs solves cost roughly one factor sweep of
-  /// memory traffic instead of nrhs. Per column, the arithmetic matches the
-  /// single-RHS path bitwise.
-  void solve_multi(const double* b, double* x, idx_t nrhs) const;
-
-  /// Thread-safe variant with caller-provided scratch (resized to
-  /// n * nrhs).
-  void solve_multi_with(const double* b, double* x, idx_t nrhs, Vec& work) const;
-
-  /// Convenience: solve for each column of a column-major panel stored as a
-  /// Vec of size order() * nrhs.
-  [[nodiscard]] Vec solve_multi(const Vec& b, idx_t nrhs) const;
 
   /// Convenience: pack separate right-hand sides into one panel, solve, and
   /// unpack — one solution per input case.
@@ -80,10 +64,10 @@ class SparseCholesky {
   [[nodiscard]] const Permutation& permutation() const { return perm_; }
 
   /// Bytes held to produce and apply the factor: the factor itself
-  /// (values + patterns + supernode metadata), the permutation, the solve
-  /// workspace, and the permuted copy of the matrix the numeric phase
-  /// consumed (freed after construction but part of the peak footprint the
-  /// memory ledger must own).
+  /// (values + patterns + supernode metadata), the permutation, and the
+  /// permuted copy of the matrix the numeric phase consumed (freed after
+  /// construction but part of the peak footprint the memory ledger must
+  /// own). Solve scratch belongs to the callers.
   [[nodiscard]] std::size_t memory_bytes() const;
 
   /// Export L (permuted ordering, compressed sparse column, ascending rows,
@@ -97,8 +81,6 @@ class SparseCholesky {
   offset_t matrix_lower_nnz_ = 0;       // nnz(tril(A)), for fill_ratio
   std::size_t permuted_matrix_bytes_ = 0;
   SupernodalFactor snf_;
-
-  mutable Vec work_;  // permuted rhs/solution scratch
 };
 
 }  // namespace ms::la

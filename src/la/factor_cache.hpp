@@ -15,9 +15,8 @@
 // key, exactly one runs the builder while the rest wait on the slot, so
 // `num_factorizations` stays deterministic (one per distinct key) no matter
 // the thread schedule. Entries are never evicted; the owning engine's
-// lifetime bounds the cache. Shared SparseCholesky factors must be solved
-// through the *_with(scratch) entry points — the scratch-less overloads
-// mutate a member workspace and are not safe to share across threads.
+// lifetime bounds the cache. A SparseCholesky is never written after
+// construction, so any number of threads may solve on one shared factor.
 
 #include <atomic>
 #include <condition_variable>

@@ -405,16 +405,4 @@ CsrMatrix permute_symmetric(const CsrMatrix& a, const Permutation& p) {
   return CsrMatrix::from_triplets(t);
 }
 
-Vec permute_vector(const Vec& x, const Permutation& p) {
-  Vec y(x.size());
-  for (idx_t i = 0; i < p.size(); ++i) y[i] = x[p.perm[i]];
-  return y;
-}
-
-Vec unpermute_vector(const Vec& x, const Permutation& p) {
-  Vec y(x.size());
-  for (idx_t i = 0; i < p.size(); ++i) y[p.perm[i]] = x[i];
-  return y;
-}
-
 }  // namespace ms::la

@@ -38,10 +38,4 @@ Permutation amd_ordering(const CsrMatrix& a);
 /// B = P A P^T for a symmetric permutation (perm[new] = old).
 CsrMatrix permute_symmetric(const CsrMatrix& a, const Permutation& p);
 
-/// Apply: out[new] = in[perm[new]] (gather into permuted ordering).
-Vec permute_vector(const Vec& x, const Permutation& p);
-
-/// Inverse apply: out[perm[new]] = in[new].
-Vec unpermute_vector(const Vec& x, const Permutation& p);
-
 }  // namespace ms::la

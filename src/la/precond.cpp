@@ -69,18 +69,13 @@ PreconditionerKind parse_preconditioner(const std::string& name) {
   if (name == "none") return PreconditionerKind::kNone;
   if (name == "jacobi") return PreconditionerKind::kJacobi;
   if (name == "ssor") return PreconditionerKind::kSsor;
-  throw std::invalid_argument("make_preconditioner: unknown preconditioner '" + name +
+  throw std::invalid_argument("unknown preconditioner '" + name +
                               "' (valid: none, jacobi, ssor)");
 }
 
-std::unique_ptr<Preconditioner> make_preconditioner(const std::string& name, const CsrMatrix& a) {
-  return make_preconditioner(name, [&a]() { return a.diagonal(); }, &a);
-}
-
-std::unique_ptr<Preconditioner> make_preconditioner(const std::string& name,
+std::unique_ptr<Preconditioner> make_preconditioner(PreconditionerKind kind,
                                                     const std::function<Vec()>& diagonal,
                                                     const CsrMatrix* a) {
-  const PreconditionerKind kind = parse_preconditioner(name);
   if (kind == PreconditionerKind::kNone) return std::make_unique<IdentityPreconditioner>();
   if (kind == PreconditionerKind::kJacobi) {
     return std::make_unique<JacobiPreconditioner>(diagonal());

@@ -60,17 +60,16 @@ class SsorPreconditioner final : public Preconditioner {
 
 enum class PreconditionerKind { kNone, kJacobi, kSsor };
 
-/// Parse "none" | "jacobi" | "ssor". Throws std::invalid_argument naming the
-/// valid set on any other name.
+/// Parse "none" | "jacobi" | "ssor" — the one place a preconditioner name
+/// is read. Throws std::invalid_argument naming the valid set on any other
+/// name.
 PreconditionerKind parse_preconditioner(const std::string& name);
 
-/// Factory helper keyed by name: "none", "jacobi", "ssor".
-std::unique_ptr<Preconditioner> make_preconditioner(const std::string& name, const CsrMatrix& a);
-
-/// Same, for an operator that need not be assembled: "none" and "jacobi"
-/// use only `diagonal`; "ssor" sweeps `a`, which must then be non-null
-/// (std::logic_error otherwise) and outlive the preconditioner.
-std::unique_ptr<Preconditioner> make_preconditioner(const std::string& name,
+/// Build a preconditioner for an operator that need not be assembled: kNone
+/// and kJacobi use only `diagonal` (called once, by kJacobi); kSsor sweeps
+/// `a`, which must then be non-null (std::logic_error otherwise) and outlive
+/// the preconditioner.
+std::unique_ptr<Preconditioner> make_preconditioner(PreconditionerKind kind,
                                                     const std::function<Vec()>& diagonal,
                                                     const CsrMatrix* a);
 

@@ -326,8 +326,9 @@ struct SubtreePartition {
   std::vector<idx_t> sub_of;       ///< supernode -> subtree index or -1
 };
 
-SubtreePartition partition_subtrees(const CsrMatrix& a, const SupernodalFactor& f) {
+SubtreePartition partition_subtrees(const std::vector<idx_t>& parent, const SupernodalFactor& f) {
   const idx_t n = f.n;
+  assert(static_cast<idx_t>(parent.size()) == n);
   const idx_t ns = f.num_supernodes;
   SubtreePartition part;
   part.sub_of.assign(ns, -1);
@@ -358,7 +359,6 @@ SubtreePartition partition_subtrees(const CsrMatrix& a, const SupernodalFactor& 
 
   // Column-level minimum descendant per scalar-etree subtree. parent[j] > j
   // always, so one ascending sweep finalizes each column before propagating.
-  const std::vector<idx_t> parent = elimination_tree(a);
   std::vector<idx_t> min_desc(n);
   for (idx_t j = 0; j < n; ++j) min_desc[j] = j;
   for (idx_t j = 0; j < n; ++j) {
@@ -414,13 +414,14 @@ SubtreePartition partition_subtrees(const CsrMatrix& a, const SupernodalFactor& 
 
 }  // namespace
 
-void factorize_supernodal(const CsrMatrix& a, SupernodalFactor& f) {
+void factorize_supernodal(const CsrMatrix& a, const std::vector<idx_t>& parent,
+                          SupernodalFactor& f) {
   const idx_t n = f.n;
   const idx_t ns = f.num_supernodes;
   std::vector<idx_t> dptr(ns, 0);
   std::fill(f.values.begin(), f.values.end(), 0.0);  // allow refactorization
 
-  const SubtreePartition part = partition_subtrees(a, f);
+  const SubtreePartition part = partition_subtrees(parent, f);
   const idx_t nsub = static_cast<idx_t>(part.lo.size());
 
   // Phase 1: factor the light subtrees. Each subtree is descendant-closed,

@@ -64,7 +64,8 @@ SupernodalFactor analyze_supernodes(const CsrMatrix& a, const std::vector<idx_t>
                                     const std::vector<idx_t>& counts, idx_t max_width);
 
 /// Numeric phase: left-looking supernodal factorization of the (permuted)
-/// matrix whose symbolic analysis produced `f`. Descendant updates are dense
+/// matrix whose symbolic analysis produced `f` from the elimination tree
+/// `parent` (the same tree analyze_supernodes consumed). Descendant updates are dense
 /// C = B1 * B2^T rank-k products (register-tiled), followed by a fused dense
 /// panel factorization. Throws std::runtime_error on a non-positive pivot.
 ///
@@ -80,7 +81,8 @@ SupernodalFactor analyze_supernodes(const CsrMatrix& a, const std::vector<idx_t>
 /// the column order is not etree-postordered the subtree ranges can fail
 /// closure; the partition is then discarded and the whole factorization
 /// runs as the serial top phase.
-void factorize_supernodal(const CsrMatrix& a, SupernodalFactor& f);
+void factorize_supernodal(const CsrMatrix& a, const std::vector<idx_t>& parent,
+                          SupernodalFactor& f);
 
 /// Triangular solves over a multi-RHS block in *row-major* layout:
 /// x[i * nrhs + r] is dof i of case r. The layout keeps the right-hand sides

@@ -90,7 +90,7 @@ std::vector<Vec> solve_matrix_free(const BlockOperator& op, std::vector<Vec>& rh
   };
   lifted.matrix_bytes = op.memory_bytes();
   la::CsrMatrix assembled;  // only "ssor" sweeps an assembled matrix
-  if (la::parse_preconditioner(spec.precond) == la::PreconditionerKind::kSsor) {
+  if (spec.precond == la::PreconditionerKind::kSsor) {
     assembled = op.to_csr();
     fem::apply_dirichlet_matrix(assembled, bc);
     lifted.matrix = &assembled;
@@ -109,7 +109,7 @@ std::vector<Vec> solve_global_multi(GlobalProblem& problem, std::vector<Vec> ext
   spec.method = fem::parse_solve_method(options.method);
   const bool krylov = spec.method != fem::SolveMethod::kDirect;
   if (krylov) {
-    (void)la::parse_preconditioner(options.precond);  // before touching the operator
+    spec.precond = la::parse_preconditioner(options.precond);  // before touching the operator
     if (problem.op == nullptr) {
       throw std::invalid_argument(
           "solve_global_multi: the Krylov methods need problem.op (assemble_global sets it)");
@@ -121,7 +121,6 @@ std::vector<Vec> solve_global_multi(GlobalProblem& problem, std::vector<Vec> ext
   spec.factor.cancel = options.cancel;
   spec.factor.cache = options.factor_cache;
   spec.factor.key = options.factor_key;
-  spec.precond = options.precond;
   spec.krylov.rel_tol = options.rel_tol;
   spec.krylov.max_iterations = options.max_iterations;
   spec.krylov.restart = options.gmres_restart;

@@ -23,7 +23,7 @@ namespace ms::rom {
 
 struct GlobalSolveOptions {
   std::string method = "cg";      ///< "cg", "gmres", or "direct"
-  std::string precond = "jacobi"; ///< for the iterative paths
+  std::string precond = "jacobi"; ///< iterative paths: "none", "jacobi", "ssor"
   double rel_tol = 1e-9;
   idx_t max_iterations = 20000;
   idx_t gmres_restart = 80;
@@ -69,8 +69,9 @@ Vec solve_global(GlobalProblem& problem, const DirichletBc& bc,
 /// all cases as one multi-RHS panel through SparseCholesky::solve_multi.
 /// The Krylov paths loop over the cases on problem.op only (they throw
 /// std::invalid_argument when it is null); problem.stiffness is read by the
-/// direct path alone. On the Krylov paths `matrix_bytes` counts the
-/// operator's own storage (plus the lifted CSR "ssor" assembles).
+/// direct path alone. The Krylov paths parse options.precond once, before
+/// touching the operator, and hand the kind down; `matrix_bytes` counts the
+/// operator's own storage (plus the lifted CSR that kSsor assembles).
 /// Returns one solution per case — index 0 is problem.rhs, index 1 + k is
 /// extra_rhs[k]. All right-hand sides must be unlifted (the lifting is
 /// applied here, like solve_global does).

@@ -135,7 +135,7 @@ RomModel run_local_stage(const mesh::TsvGeometry& geometry, const mesh::BlockMes
                   rhs_panel.begin() + static_cast<std::size_t>(col) * part.num_free);
       }
       x_panel.resize(static_cast<std::size_t>(part.num_free) * cols);
-      chol.solve_multi_with(rhs_panel.data(), x_panel.data(), cols, chol_work);
+      chol.solve_multi(rhs_panel.data(), x_panel.data(), cols, chol_work);
       for (idx_t col = 0; col < cols; ++col) {
         const idx_t i = i0 + col;
         const double* alpha_f = x_panel.data() + static_cast<std::size_t>(col) * part.num_free;

@@ -274,8 +274,9 @@ TransientTemperatureResult solve_power_trace(const mesh::HexMesh& mesh,
   // The stepping operator's factorization is shareable across traces: the
   // assembly above is cheap and the unlifted A is needed for the correction
   // term regardless, so only the factor itself is memoized (no bc is handed
-  // over, so no unlifted copy is kept). solve_with(scratch) below is
-  // solve_inplace's own backend, so warm and cold steps are bitwise identical.
+  // over, so no unlifted copy is kept). Every step solves through the
+  // factor's one stateless entry point, so warm and cold steps are bitwise
+  // identical.
   const std::shared_ptr<const la::SparseCholesky> factor =
       fem::factor_spd(a, nullptr, factor_spec(options.base, "thermal.transient"), local).factor;
 
@@ -323,7 +324,7 @@ TransientTemperatureResult solve_power_trace(const mesh::HexMesh& mesh,
   Vec kt(static_cast<std::size_t>(n));
   Vec mt(static_cast<std::size_t>(n));
   Vec rhs(static_cast<std::size_t>(n));
-  Vec solve_scratch;  // local, so a shared cached factor is thread-safe
+  Vec solve_scratch;  // reused by every step
   power_load_at(0.0, f_prev);
   for (int step = 1; step <= num_steps; ++step) {
     const double time = step * dt;
@@ -345,7 +346,7 @@ TransientTemperatureResult solve_power_trace(const mesh::HexMesh& mesh,
       }
       for (std::size_t i = 0; i < bc.dofs.size(); ++i) rhs[bc.dofs[i]] = bc.values[i];
     }
-    factor->solve_with(rhs, t, solve_scratch);
+    factor->solve_multi(rhs.data(), t.data(), 1, solve_scratch);
     // Per-step cooperative cancellation/deadline check and fault probe (the
     // `nan` action poisons the state vector; `stall` sleeps in fire()).
     options.base.cancel.check("thermal.transient.step");

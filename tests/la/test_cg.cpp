@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "la/cholesky.hpp"
+#include "la/precond.hpp"
 
 namespace ms::la {
 namespace {
@@ -31,10 +32,6 @@ Vec smooth_rhs(idx_t n) {
   return b;
 }
 
-struct PrecondCase {
-  const char* name;
-};
-
 class CgWithPreconditioners : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(CgWithPreconditioners, MatchesDirectSolve) {
@@ -42,7 +39,8 @@ TEST_P(CgWithPreconditioners, MatchesDirectSolve) {
   const Vec b = smooth_rhs(a.rows());
   const Vec x_direct = SparseCholesky(a).solve(b);
 
-  auto precond = make_preconditioner(GetParam(), a);
+  auto precond =
+      make_preconditioner(parse_preconditioner(GetParam()), [&a] { return a.diagonal(); }, &a);
   Vec x;
   IterativeOptions options;
   options.rel_tol = 1e-12;
@@ -62,7 +60,7 @@ TEST(Cg, PreconditioningReducesIterations) {
 
   Vec x1, x2;
   const IterativeResult plain = conjugate_gradient(a, b, x1, nullptr, options);
-  auto ssor = make_preconditioner("ssor", a);
+  auto ssor = make_preconditioner(PreconditionerKind::kSsor, [&a] { return a.diagonal(); }, &a);
   const IterativeResult pre = conjugate_gradient(a, b, x2, ssor.get(), options);
   EXPECT_TRUE(plain.converged);
   EXPECT_TRUE(pre.converged);

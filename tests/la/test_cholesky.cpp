@@ -81,12 +81,11 @@ TEST(SparseCholesky, SolveMultiMatchesColumnwiseSolvesBitwise) {
     }
   }
   const SparseCholesky chol(a);
-  const Vec x_panel = chol.solve_multi(panel, nrhs);
+  Vec x_panel(panel.size()), work;
+  chol.solve_multi(panel.data(), x_panel.data(), nrhs, work);
+  Vec x(static_cast<std::size_t>(n));
   for (idx_t r = 0; r < nrhs; ++r) {
-    const Vec b(panel.begin() + static_cast<std::size_t>(r) * n,
-                panel.begin() + static_cast<std::size_t>(r + 1) * n);
-    Vec x, work;
-    chol.solve_with(b, x, work);
+    chol.solve_multi(panel.data() + static_cast<std::size_t>(r) * n, x.data(), 1, work);
     for (idx_t i = 0; i < n; ++i) {
       ASSERT_EQ(x_panel[static_cast<std::size_t>(r) * n + i], x[i]) << "rhs " << r << " dof " << i;
     }
@@ -111,11 +110,10 @@ TEST(SparseCholesky, RejectsRectangular) {
 TEST(SparseCholesky, MultipleSolvesReuseFactor) {
   const CsrMatrix a = laplacian_2d(6);
   const SparseCholesky chol(a);
-  Vec x;
   for (int rhs = 0; rhs < 5; ++rhs) {
     Vec b(a.rows());
     for (idx_t i = 0; i < a.rows(); ++i) b[i] = std::sin(0.2 * i + rhs);
-    chol.solve_inplace(b, x);
+    const Vec x = chol.solve(b);
     Vec ax;
     a.mul(x, ax);
     EXPECT_LT(max_abs_diff(ax, b), 1e-10);

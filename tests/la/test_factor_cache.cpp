@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <cstring>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -94,6 +96,58 @@ TEST(FactorCache, SingleFlightUnderContention) {
   for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[static_cast<std::size_t>(t)], seen[0]);
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.hits(), static_cast<std::uint64_t>(kThreads - 1));
+}
+
+TEST(FactorCache, SharedFactorSolvesConcurrently) {
+  // Sweep workers share one cached factor and solve on it at once. Every
+  // solve owns its scratch and the factor is never written after
+  // construction, so concurrent results match serial ones bit for bit (and
+  // TSan sees no race).
+  FactorCache cache;
+  const auto build = [] { return build_entry(12); };
+  const FactorCache::Entry entry = cache.get_or_create("shared", build);
+  const std::size_t n = static_cast<std::size_t>(entry.matrix->rows());
+  constexpr int kThreads = 4;
+  constexpr int kCases = 3;
+  std::vector<Vec> rhs(kThreads, Vec(n));
+  std::vector<std::vector<Vec>> cases(kThreads, std::vector<Vec>(kCases, Vec(n)));
+  for (int t = 0; t < kThreads; ++t) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const double u = static_cast<double>(i);
+      rhs[t][i] = std::sin(0.1 * u + t);
+      for (int c = 0; c < kCases; ++c) cases[t][c][i] = std::cos(0.05 * u * (c + 1) + t);
+    }
+  }
+
+  std::vector<Vec> single(kThreads);
+  std::vector<std::vector<Vec>> multi(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const FactorCache::Entry shared = cache.get_or_create("shared", build);
+      for (int rep = 0; rep < 4; ++rep) {
+        single[t] = shared.factor->solve(rhs[t]);
+        multi[t] = shared.factor->solve_multi(cases[t]);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.hits(), static_cast<std::uint64_t>(kThreads));
+  for (int t = 0; t < kThreads; ++t) {
+    const Vec serial = entry.factor->solve(rhs[t]);
+    ASSERT_EQ(single[t].size(), n);
+    EXPECT_EQ(std::memcmp(single[t].data(), serial.data(), n * sizeof(double)), 0) << t;
+    const std::vector<Vec> serial_multi = entry.factor->solve_multi(cases[t]);
+    ASSERT_EQ(multi[t].size(), static_cast<std::size_t>(kCases));
+    for (int c = 0; c < kCases; ++c) {
+      ASSERT_EQ(multi[t][c].size(), n);
+      EXPECT_EQ(std::memcmp(multi[t][c].data(), serial_multi[c].data(), n * sizeof(double)), 0)
+          << "thread " << t << " case " << c;
+    }
+  }
 }
 
 TEST(FactorCache, ThrowingBuilderClearsSlotForRetry) {

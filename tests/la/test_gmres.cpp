@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "la/cholesky.hpp"
+#include "la/precond.hpp"
 
 namespace ms::la {
 namespace {
@@ -88,7 +89,8 @@ TEST(Gmres, PreconditionedConvergesFaster) {
   options.rel_tol = 1e-10;
   Vec x1, x2;
   const IterativeResult plain = gmres(a, b, x1, nullptr, options);
-  auto jacobi = make_preconditioner("jacobi", a);
+  auto jacobi =
+      make_preconditioner(PreconditionerKind::kJacobi, [&a] { return a.diagonal(); }, &a);
   const IterativeResult pre = gmres(a, b, x2, jacobi.get(), options);
   EXPECT_TRUE(plain.converged);
   EXPECT_TRUE(pre.converged);

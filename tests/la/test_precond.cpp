@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 namespace ms::la {
 namespace {
@@ -84,10 +85,17 @@ TEST(SsorPreconditioner, RejectsBadOmega) {
 
 TEST(MakePreconditioner, FactoryDispatch) {
   const CsrMatrix a = spd_tridiag(4);
-  EXPECT_NE(make_preconditioner("none", a), nullptr);
-  EXPECT_NE(make_preconditioner("jacobi", a), nullptr);
-  EXPECT_NE(make_preconditioner("ssor", a), nullptr);
-  EXPECT_THROW(make_preconditioner("amg", a), std::invalid_argument);
+  const auto make = [&a](const std::string& name) {
+    return make_preconditioner(parse_preconditioner(name), [&a] { return a.diagonal(); }, &a);
+  };
+  EXPECT_NE(make("none"), nullptr);
+  EXPECT_NE(make("jacobi"), nullptr);
+  EXPECT_NE(make("ssor"), nullptr);
+  EXPECT_THROW(make("amg"), std::invalid_argument);
+  // kSsor sweeps an assembled matrix; without one the factory refuses.
+  EXPECT_THROW(make_preconditioner(PreconditionerKind::kSsor, [&a] { return a.diagonal(); },
+                                   nullptr),
+               std::logic_error);
 }
 
 }  // namespace

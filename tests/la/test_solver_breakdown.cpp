@@ -97,7 +97,7 @@ TEST(SolverBreakdown, SharedKrylovLoopRaisesClassifiedError) {
     fem::SolveSpec spec;
     spec.method = method;
     spec.factor.stage = "test";
-    spec.precond = "none";
+    spec.precond = la::PreconditionerKind::kNone;
     spec.krylov.restart = 3;
     spec.krylov.max_iterations = 60;
     fem::SolveStats stats;

@@ -136,12 +136,11 @@ TEST(Supernodal, MultiRhsPanelMatchesSingleSolvesOnBlockMatrix) {
       panel[static_cast<std::size_t>(r) * n + i] = std::sin(0.011 * i * (r + 1));
     }
   }
-  const Vec x_panel = chol.solve_multi(panel, nrhs);
-  Vec x, work;
+  Vec x_panel(panel.size()), work;
+  chol.solve_multi(panel.data(), x_panel.data(), nrhs, work);
+  Vec x(static_cast<std::size_t>(n));
   for (idx_t r = 0; r < nrhs; ++r) {
-    const Vec b(panel.begin() + static_cast<std::size_t>(r) * n,
-                panel.begin() + static_cast<std::size_t>(r + 1) * n);
-    chol.solve_with(b, x, work);
+    chol.solve_multi(panel.data() + static_cast<std::size_t>(r) * n, x.data(), 1, work);
     for (idx_t i = 0; i < n; ++i) {
       ASSERT_EQ(x_panel[static_cast<std::size_t>(r) * n + i], x[i]) << "rhs " << r;
     }
