@@ -102,7 +102,7 @@ struct ThermalTransientSubmodelResult : ArrayResult {
 /// Result of a cycle-resolved fatigue run (array or sub-model scenario).
 /// The ArrayResult base is the peak-envelope stress solve; the per-step
 /// stress states ride in `history` as per-block channel records — the full
-/// fields are reduced step by step and never kept. The envelope and every
+/// fields are never formed. The envelope and every
 /// recorded step share one global assembly and one factorization
 /// (solve_stats.num_factorizations == 1 on the direct path,
 /// solve_stats.num_rhs == history steps + 1).
@@ -114,7 +114,7 @@ struct FatigueResult : ArrayResult {
   reliability::StressHistory history;       ///< per-step per-block channel peaks
   reliability::ReliabilityReport report;    ///< rainflow + Miner verdict
   rom::GlobalSolveStats solve_stats;        ///< the one batched envelope+steps panel
-  double history_seconds = 0.0;             ///< per-step reconstruction + reduction
+  double history_seconds = 0.0;             ///< channel extraction of the step solutions
   double reliability_seconds = 0.0;         ///< rainflow counting + damage models
 };
 

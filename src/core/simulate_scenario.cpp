@@ -7,13 +7,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <stdexcept>
 
 #include "chiplet/displacement_field.hpp"
+#include "core/health.hpp"
 #include "core/simulator.hpp"
 #include "obs/metrics.hpp"
 #include "obs/query_scope.hpp"
 #include "obs/trace.hpp"
+#include "reliability/channel_extract.hpp"
 #include "reliability/stress_history.hpp"
 #include "sweep/scenario_result.hpp"
 #include "sweep/scenario_spec.hpp"
@@ -46,6 +49,16 @@ double max_shift_of(const sweep::ScenarioResult& result) {
     fold(result.fatigue->solve_stats.diagonal_shift);
   }
   return shift;
+}
+
+/// Record what only the core layer measures: the global stage's solve,
+/// factor and size detail is already published under rom.global.* and the
+/// local stage's cost under rom.local.stage_seconds, each fact once.
+void publish_run_stats(const RunStats& s) {
+  auto& reg = obs::MetricRegistry::global();
+  reg.histogram("core.run.assemble_seconds").record(s.assemble_seconds);
+  reg.histogram("core.run.reconstruct_seconds").record(s.reconstruct_seconds);
+  reg.gauge("core.run.memory_bytes").set(static_cast<double>(s.memory_bytes));
 }
 
 /// The package's own coarse displacement in the window's local frame. The
@@ -185,14 +198,14 @@ sweep::ScenarioResult MoreStressSimulator::simulate(const sweep::ScenarioSpec& s
             ? *spec.load_field
             : rom::BlockLoadField::uniform(std::isnan(spec.delta_t) ? config_.thermal_load
                                                                     : spec.delta_t);
-    result.array = std::make_shared<ArrayResult>(run_global_multi(window, load, {}, nullptr));
+    result.array = std::make_shared<ArrayResult>(run_panel(window, load, {}).primary);
   } else if (spec.load == sweep::LoadKind::kPower) {
     const thermal::PowerMap power =
         spec.power_map != nullptr ? *spec.power_map : synthesized_power();
     require_footprint(power);
     const auto steady = [&](auto& r) {
       r.load = steady_conduction(window, power, &r.temperature, &r.thermal_stats);
-      static_cast<ArrayResult&>(r) = run_global_multi(window, r.load, {}, nullptr);
+      static_cast<ArrayResult&>(r) = run_panel(window, r.load, {}).primary;
     };
     if (array) {
       steady(*(result.thermal_array = std::make_shared<ThermalArrayResult>()));
@@ -213,25 +226,49 @@ sweep::ScenarioResult MoreStressSimulator::simulate(const sweep::ScenarioSpec& s
                                             Vec(r.transient.peak_envelope));
     };
 
-    if (spec.analysis == sweep::AnalysisKind::kTransient) {
+    if (spec.analysis == sweep::AnalysisKind::kTransient && !array) {
+      // Snapshots are an array-only request (ScenarioSpec::validate).
+      auto& r = *(result.transient_submodel = std::make_shared<ThermalTransientSubmodelResult>());
+      march(r);
+      static_cast<ArrayResult&>(r) = run_panel(window, r.envelope_load, {}).primary;
+    } else if (spec.analysis == sweep::AnalysisKind::kTransient) {
       // The envelope and every requested snapshot share the global operator:
-      // one assembly, one factorization, one multi-RHS panel.
-      const auto transient = [&](auto& r, std::vector<ArrayResult>* snapshots) {
-        march(r);
-        static_cast<ArrayResult&>(r) =
-            run_global_multi(window, r.envelope_load,
-                             loads_of_steps(r.transient, spec.snapshot_steps), snapshots);
-      };
-      if (array) {
-        auto& r = *(result.transient_array = std::make_shared<ThermalTransientArrayResult>());
-        r.snapshot_steps = spec.snapshot_steps;
-        transient(r, &r.snapshots);
-      } else {
-        transient(*(result.transient_submodel =
-                        std::make_shared<ThermalTransientSubmodelResult>()),
-                  nullptr);
+      // one assembly, one factorization, one multi-RHS panel. Each snapshot
+      // then reconstructs its own field (disjoint slots, so in parallel) and
+      // carries the envelope's stats, the shared assembly/factorization
+      // cost, with its own reconstruct time.
+      auto& r = *(result.transient_array = std::make_shared<ThermalTransientArrayResult>());
+      r.snapshot_steps = spec.snapshot_steps;
+      march(r);
+      const std::vector<rom::BlockLoadField> loads = loads_of_steps(r.transient, r.snapshot_steps);
+      Panel panel = run_panel(window, r.envelope_load, loads);
+      static_cast<ArrayResult&>(r) = std::move(panel.primary);
+      const rom::RomModel& tsv = tsv_model();
+      r.snapshots.resize(loads.size());
+#ifdef _OPENMP
+#pragma omp parallel for schedule(dynamic)
+#endif
+      for (std::ptrdiff_t c = 0; c < static_cast<std::ptrdiff_t>(loads.size()); ++c) {
+        const auto k = static_cast<std::size_t>(c);
+        ArrayResult& snapshot = r.snapshots[k];
+        snapshot.stats = r.stats;
+        snapshot.solution = std::move(panel.extra[k]);
+        util::WallTimer reconstruct_timer;
+        // An array window has no dummy blocks.
+        snapshot.stress = rom::reconstruct_plane_stress(window.grid, tsv, nullptr, window.mask,
+                                                        snapshot.solution, loads[k],
+                                                        window.report_range);
+        snapshot.von_mises = fem::to_von_mises(snapshot.stress);
+        snapshot.stats.reconstruct_seconds = reconstruct_timer.seconds();
+        snapshot.region_blocks_x = window.report_range.width();
+        snapshot.region_blocks_y = window.report_range.height();
+        snapshot.samples_per_block = tsv.samples_per_block;
       }
     } else {
+      // The whole fatigue history — envelope plus every selected step — runs
+      // as one multi-RHS panel; the step solutions are then reduced to
+      // per-block channels in one batched pass over all steps
+      // (reliability/channel_extract.hpp), never as dense per-step fields.
       FatigueResult& r = *(result.fatigue = std::make_shared<FatigueResult>());
       march(r);
       r.history_steps =
@@ -239,15 +276,40 @@ sweep::ScenarioResult MoreStressSimulator::simulate(const sweep::ScenarioSpec& s
       std::vector<double> step_times;
       step_times.reserve(r.history_steps.size());
       for (int step : r.history_steps) step_times.push_back(r.transient.times[step]);
-      static_cast<ArrayResult&>(r) = run_fatigue_panel(
-          window, r.envelope_load, loads_of_steps(r.transient, r.history_steps), step_times,
-          &r.history, &r.solve_stats, &r.history_seconds);
+      const std::vector<rom::BlockLoadField> step_loads =
+          loads_of_steps(r.transient, r.history_steps);
+      Panel panel = run_panel(window, r.envelope_load, step_loads);
+      static_cast<ArrayResult&>(r) = std::move(panel.primary);
+      r.solve_stats = panel.solve;
+      const rom::RomModel* dummy = window.uses_dummy ? &dummy_model() : nullptr;
+
+      r.history = reliability::StressHistory(window.report_range.width(),
+                                             window.report_range.height());
+      r.history.resize_steps(step_times);
+      util::WallTimer history_timer;
+      {
+        MS_TRACE_SCOPE("core.fatigue.channel_extract");
+        reliability::extract_channel_history(window.grid, tsv_model(), dummy, window.mask,
+                                             panel.extra, step_loads, window.report_range,
+                                             r.history);
+      }
+      r.history_seconds = history_timer.seconds();
+      require_finite(config_.robustness.check_finite, "fatigue.channels", "channel history",
+                     r.history.raw_data().data(), r.history.raw_data().size());
+      // The multi-RHS panel is the allocation that scales with trace length:
+      // num_rhs right-hand sides and as many solutions held simultaneously,
+      // plus the retained channel history.
+      r.stats.memory_bytes += 2 * static_cast<std::size_t>(r.solve_stats.num_rhs) *
+                                  static_cast<std::size_t>(r.solve_stats.num_dofs) *
+                                  sizeof(double) +
+                              r.history.memory_bytes();
       util::WallTimer reliability_timer;
       r.report = assess_fatigue(r.history, trace.duration(), spec.fatigue);
       r.reliability_seconds = reliability_timer.seconds();
     }
   }
 
+  publish_run_stats(result.base().stats);
   result.peak_von_mises = peak_of(result.base().von_mises);
   if (result.fatigue != nullptr) {
     const reliability::ReliabilityReport& report = result.fatigue->report;

@@ -8,7 +8,6 @@
 #include "core/health.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "reliability/channel_extract.hpp"
 #include "rom/local_stage.hpp"
 #include "thermal/conduction_assembler.hpp"
 #include "util/fault_injector.hpp"
@@ -112,8 +111,7 @@ std::string factor_options_tag(const la::SparseCholesky::Options& factor) {
   return "w" + std::to_string(factor.max_supernode_width);
 }
 
-/// One place that maps GlobalSolveStats onto RunStats — the multi-load and
-/// fatigue panels must report solver detail identically.
+/// The solver detail RunStats carries of a panel's GlobalSolveStats.
 void copy_solve_stats(RunStats& stats, const rom::GlobalSolveStats& solve) {
   stats.solve_seconds = solve.solve_seconds;
   stats.global_dofs = solve.num_dofs;
@@ -124,16 +122,6 @@ void copy_solve_stats(RunStats& stats, const rom::GlobalSolveStats& solve) {
   stats.fill_ratio = solve.fill_ratio;
   stats.degraded = solve.degraded;
   stats.diagonal_shift = solve.diagonal_shift;
-}
-
-/// Record what only the core layer measures: the global stage's solve,
-/// factor and size detail is already published under rom.global.* and the
-/// local stage's cost under rom.local.stage_seconds, each fact once.
-void publish_run_stats(const RunStats& s) {
-  auto& reg = obs::MetricRegistry::global();
-  reg.histogram("core.run.assemble_seconds").record(s.assemble_seconds);
-  reg.histogram("core.run.reconstruct_seconds").record(s.reconstruct_seconds);
-  reg.gauge("core.run.memory_bytes").set(static_cast<double>(s.memory_bytes));
 }
 
 }  // namespace
@@ -164,12 +152,9 @@ std::string MoreStressSimulator::global_factor_key(const Window& window) {
   return buf;
 }
 
-ArrayResult MoreStressSimulator::run_panel(const Window& window,
-                                           const rom::BlockLoadField& primary_load,
-                                           const std::vector<rom::BlockLoadField>& extra_loads,
-                                           rom::GlobalSolveStats* solve_stats_out,
-                                           double* consume_seconds,
-                                           const PanelConsumer& consumer) {
+MoreStressSimulator::Panel MoreStressSimulator::run_panel(
+    const Window& window, const rom::BlockLoadField& primary_load,
+    const std::vector<rom::BlockLoadField>& extra_loads) {
   MS_TRACE_SCOPE("core.global.panel");
   cancel_.check("global.panel");
   const rom::RomModel& tsv = tsv_model();
@@ -178,7 +163,8 @@ ArrayResult MoreStressSimulator::run_panel(const Window& window,
   const rom::BlockMask& mask = window.mask;
   const rom::BlockRange& report_range = window.report_range;
 
-  ArrayResult result;
+  Panel panel;
+  ArrayResult& result = panel.primary;
   result.stats.local_stage_seconds =
       tsv.local_stage_seconds + (dummy != nullptr ? dummy->local_stage_seconds : 0.0);
 
@@ -222,16 +208,18 @@ ArrayResult MoreStressSimulator::run_panel(const Window& window,
 
   cancel_.check("global.solve");
   timer.reset();
-  rom::GlobalSolveStats panel_stats;
-  std::vector<Vec> solutions = rom::solve_global_multi(problem, std::move(extra_rhs), window.bc,
-                                                       solve_options, &panel_stats);
+  rom::GlobalSolveStats& panel_stats = panel.solve;
+  panel.extra = rom::solve_global_multi(problem, std::move(extra_rhs), window.bc, solve_options,
+                                        &panel_stats);
   const bool check = config_.robustness.check_finite;
-  for (const Vec& solution : solutions) {
+  for (const Vec& solution : panel.extra) {
     require_finite(check, "global.solve", "global solution", solution);
   }
-  result.solution = std::move(solutions.front());
+  // solve_global_multi returns [primary | extras]; the primary leaves the
+  // front so `extra` lines up with `extra_loads`.
+  result.solution = std::move(panel.extra.front());
+  panel.extra.erase(panel.extra.begin());
   copy_solve_stats(result.stats, panel_stats);
-  if (solve_stats_out != nullptr) *solve_stats_out = panel_stats;
 
   cancel_.check("global.reconstruct");
   timer.reset();
@@ -253,52 +241,7 @@ ArrayResult MoreStressSimulator::run_panel(const Window& window,
                               (dummy != nullptr ? dummy->memory_bytes() : 0) +
                               result.stress.size() * sizeof(fem::Stress6) +
                               result.solution.size() * sizeof(double);
-
-  timer.reset();
-  if (consumer) {
-    MS_TRACE_SCOPE("core.global.consume");
-    const PanelCaseContext ctx{window, tsv, dummy, result.stats};
-    // Consumers write disjoint slots (documented contract), so cases
-    // parallelize; each case sees the completed primary stats.
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic)
-#endif
-    for (std::ptrdiff_t c = 0; c < static_cast<std::ptrdiff_t>(extra_loads.size()); ++c) {
-      consumer(static_cast<std::size_t>(c), solutions[static_cast<std::size_t>(c) + 1],
-               extra_loads[static_cast<std::size_t>(c)], ctx);
-    }
-  }
-  if (consume_seconds != nullptr) *consume_seconds = timer.seconds();
-  return result;
-}
-
-ArrayResult MoreStressSimulator::run_global_multi(
-    const Window& window, const rom::BlockLoadField& load,
-    const std::vector<rom::BlockLoadField>& extra_loads,
-    std::vector<ArrayResult>* extra_results) {
-  PanelConsumer consumer;
-  if (extra_results != nullptr) {
-    extra_results->clear();
-    extra_results->resize(extra_loads.size());
-    consumer = [extra_results](std::size_t c, Vec& solution, const rom::BlockLoadField& load_c,
-                               const PanelCaseContext& ctx) {
-      ArrayResult& extra = (*extra_results)[c];
-      extra.stats = ctx.base_stats;  // shared assembly/factorization cost
-      extra.solution = std::move(solution);
-      util::WallTimer reconstruct_timer;
-      const Window& w = ctx.window;
-      extra.stress = rom::reconstruct_plane_stress(w.grid, ctx.tsv, ctx.dummy, w.mask,
-                                                   extra.solution, load_c, w.report_range);
-      extra.von_mises = fem::to_von_mises(extra.stress);
-      extra.stats.reconstruct_seconds = reconstruct_timer.seconds();
-      extra.region_blocks_x = w.report_range.width();
-      extra.region_blocks_y = w.report_range.height();
-      extra.samples_per_block = ctx.tsv.samples_per_block;
-    };
-  }
-  ArrayResult result = run_panel(window, load, extra_loads, nullptr, nullptr, consumer);
-  publish_run_stats(result.stats);
-  return result;
+  return panel;
 }
 
 namespace {
@@ -446,55 +389,6 @@ thermal::TransientTemperatureResult MoreStressSimulator::transient_conduction(
   require_finite(config_.robustness.check_finite, "thermal.transient", "dT peak envelope",
                  transient.peak_envelope.data(), transient.peak_envelope.size());
   return transient;
-}
-
-ArrayResult MoreStressSimulator::run_fatigue_panel(
-    const Window& window, const rom::BlockLoadField& envelope_load,
-    const std::vector<rom::BlockLoadField>& step_loads, const std::vector<double>& step_times,
-    reliability::StressHistory* history, rom::GlobalSolveStats* solve_stats,
-    double* history_seconds) {
-  MS_TRACE_SCOPE("core.fatigue.panel");
-  // The panel consumer only stashes each step's solution; the channel
-  // reduction runs once afterwards, batched over all steps per block
-  // (reliability/channel_extract.hpp), instead of rebuilding the dense
-  // plane-stress field step by step.
-  *history = reliability::StressHistory(window.report_range.width(),
-                                        window.report_range.height());
-  history->resize_steps(step_times);
-  std::vector<Vec> step_solutions(step_loads.size());
-  const PanelConsumer stash_step = [&step_solutions](std::size_t s, Vec& solution,
-                                                     const rom::BlockLoadField&,
-                                                     const PanelCaseContext&) {
-    step_solutions[s] = std::move(solution);
-  };
-
-  // The whole fatigue history — envelope plus every selected step — runs as
-  // one multi-RHS panel against a single factorization on the direct path.
-  rom::GlobalSolveStats panel_stats;
-  double consume_seconds = 0.0;
-  ArrayResult result =
-      run_panel(window, envelope_load, step_loads, &panel_stats, &consume_seconds, stash_step);
-  if (solve_stats != nullptr) *solve_stats = panel_stats;
-
-  util::WallTimer extract_timer;
-  {
-    MS_TRACE_SCOPE("core.fatigue.channel_extract");
-    reliability::extract_channel_history(
-        window.grid, tsv_model(), window.uses_dummy ? &dummy_model() : nullptr, window.mask,
-        step_solutions, step_loads, window.report_range, *history);
-  }
-  require_finite(config_.robustness.check_finite, "fatigue.channels", "channel history",
-                 history->raw_data().data(), history->raw_data().size());
-  if (history_seconds != nullptr) *history_seconds = consume_seconds + extract_timer.seconds();
-  // The multi-RHS panel is the allocation that scales with trace length:
-  // num_rhs right-hand sides and as many solutions held simultaneously, plus
-  // the retained channel history.
-  result.stats.memory_bytes += 2 * static_cast<std::size_t>(panel_stats.num_rhs) *
-                                   static_cast<std::size_t>(panel_stats.num_dofs) *
-                                   sizeof(double) +
-                               history->memory_bytes();
-  publish_run_stats(result.stats);
-  return result;
 }
 
 reliability::ReliabilityReport MoreStressSimulator::assess_fatigue(

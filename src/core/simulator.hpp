@@ -14,9 +14,9 @@
 // one declarative sweep::ScenarioSpec handed to simulate(); see
 // sweep/scenario_spec.hpp and the README "Scenarios" section.
 
-#include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "chiplet/package_model.hpp"
 #include "chiplet/package_thermal.hpp"
@@ -123,55 +123,29 @@ class MoreStressSimulator {
     /// (windowed to the interposer layer for a sub-model).
     thermal::BlockReduction reduction;
   };
-  /// Read-only context handed to a PanelConsumer alongside each extra
-  /// solution: everything needed to reconstruct fields for that case.
-  struct PanelCaseContext {
-    const Window& window;
-    const rom::RomModel& tsv;
-    const rom::RomModel* dummy;
-    const RunStats& base_stats;  ///< primary result's completed stats
+  /// One global panel: the primary case fully reconstructed, the raw global
+  /// solution of every extra case (same order as the extra loads), and the
+  /// panel's solve statistics.
+  struct Panel {
+    ArrayResult primary;
+    std::vector<Vec> extra;
+    rom::GlobalSolveStats solve;
   };
-  /// Called once per entry of `extra_loads` with the case index, that case's
-  /// global solution (mutable — consumers may move from it), and its load.
-  /// Invoked inside an OpenMP parallel for: consumers must write disjoint
-  /// slots and take no locks.
-  using PanelConsumer =
-      std::function<void(std::size_t case_idx, Vec& solution, const rom::BlockLoadField& load,
-                         const PanelCaseContext& ctx)>;
 
   /// Kind resolution (simulate_scenario.cpp): grid, mask, boundary data,
   /// report range, and the package/placement with its one coverage check.
   Window resolve_window(const sweep::ScenarioSpec& spec);
-  /// The one multi-RHS panel core both run_global_multi and run_fatigue_panel
-  /// are built on: assemble the global operator once, solve
-  /// [primary | extras] as a single panel (one factorization on the direct
-  /// path), reconstruct the primary case fully, then hand every extra
-  /// solution to `consumer`. `consume_seconds` (optional) receives the wall
-  /// time of the consumer loop. The returned stats do NOT yet include
-  /// consumer-specific memory — wrappers account for what they retain.
-  /// With a factor cache attached, a resident key skips the operator
-  /// assembly entirely (load vectors only) and the factorization.
-  ArrayResult run_panel(const Window& window, const rom::BlockLoadField& primary_load,
-                        const std::vector<rom::BlockLoadField>& extra_loads,
-                        rom::GlobalSolveStats* solve_stats_out, double* consume_seconds,
-                        const PanelConsumer& consumer);
-  /// Solves `load` plus one case per entry of `extra_loads` against the same
-  /// assembled and lifted operator — on the direct path all cases share one
-  /// factorization and run as a multi-RHS panel. Per-case results land in
-  /// `extra_results` (same order; may be null when there are no extras).
-  ArrayResult run_global_multi(const Window& window, const rom::BlockLoadField& load,
-                               const std::vector<rom::BlockLoadField>& extra_loads,
-                               std::vector<ArrayResult>* extra_results);
-  /// The batched fatigue core: assemble the global operator once, solve
-  /// [envelope | one case per step load] as a single multi-RHS panel,
-  /// reconstruct the envelope fully (the returned ArrayResult), and reduce
-  /// every step's reconstructed field straight into `history` (full
-  /// per-step fields are never retained).
-  ArrayResult run_fatigue_panel(const Window& window, const rom::BlockLoadField& envelope_load,
-                                const std::vector<rom::BlockLoadField>& step_loads,
-                                const std::vector<double>& step_times,
-                                reliability::StressHistory* history,
-                                rom::GlobalSolveStats* solve_stats, double* history_seconds);
+  /// The one multi-RHS global solve every analysis runs: assemble the global
+  /// operator once, solve [primary | extras] as a single panel (one
+  /// factorization on the direct path), and reconstruct the primary case.
+  /// What the extras become (snapshot fields, fatigue channels) is the
+  /// caller's step, and so is publishing core.run.*. The primary's memory
+  /// covers models, operator, factor, its stress field and solution, but
+  /// nothing the caller keeps of the extras. With a factor cache attached,
+  /// a resident key skips the operator assembly entirely (load vectors
+  /// only) and the factorization.
+  Panel run_panel(const Window& window, const rom::BlockLoadField& primary_load,
+                  const std::vector<rom::BlockLoadField>& extra_loads);
   /// The window's conduction model: the array's own coarse mesh with
   /// TSV-aware block conductivities, or the package stack with the window's
   /// blocks resolved. Capacities are built for the transient march only

@@ -123,48 +123,60 @@ Vec SparseCholesky::solve(const Vec& b) const {
   return x;
 }
 
-std::vector<Vec> SparseCholesky::solve_multi(const std::vector<Vec>& cases) const {
-  const idx_t num_cases = static_cast<idx_t>(cases.size());
-  Vec panel(static_cast<std::size_t>(n_) * num_cases);
-  for (idx_t c = 0; c < num_cases; ++c) {
-    assert(static_cast<idx_t>(cases[c].size()) == n_);
-    std::copy(cases[c].begin(), cases[c].end(),
-              panel.begin() + static_cast<std::size_t>(c) * n_);
-  }
-  Vec x_panel(panel.size());
-  Vec work;
-  solve_multi(panel.data(), x_panel.data(), num_cases, work);
-  std::vector<Vec> solutions(cases.size());
-  for (idx_t c = 0; c < num_cases; ++c) {
-    solutions[c].assign(x_panel.begin() + static_cast<std::size_t>(c) * n_,
-                        x_panel.begin() + static_cast<std::size_t>(c + 1) * n_);
-  }
-  return solutions;
-}
+namespace {
 
-void SparseCholesky::solve_multi(const double* b, double* x, idx_t nrhs, Vec& work) const {
+/// The gather / panel solve / scatter both solve_multi forms share: case r
+/// reads its right-hand side from `rhs(r)` and writes its solution to
+/// `sol(r)` (each n contiguous values), so the packed and the per-case entry
+/// points go through `work` alone, with no staging copy of either side.
+template <class Rhs, class Sol>
+void panel_solve(const std::vector<idx_t>& perm, const SupernodalFactor& snf, idx_t nrhs,
+                 Vec& work, Rhs rhs, Sol sol) {
   assert(nrhs >= 1);
   CholeskyMetrics& metrics = chol_metrics();
   MS_TRACE_SCOPE("la.cholesky.triangular_solve");
   obs::ScopedDuration solve_timer(metrics.solve_seconds);
   metrics.solve_rhs.add(nrhs);
-  work.resize(static_cast<std::size_t>(n_) * nrhs);
+  const auto n = static_cast<idx_t>(perm.size());
+  work.resize(static_cast<std::size_t>(n) * nrhs);
   double* y = work.data();
   // Gather into the permuted, dof-major layout (all nrhs values of one dof
   // contiguous): the innermost per-case loops of the kernels then vectorize
   // and every factor entry is loaded once per panel instead of once per rhs.
-  for (idx_t i = 0; i < n_; ++i) {
-    const idx_t src = perm_.perm[i];
+  for (idx_t i = 0; i < n; ++i) {
+    const idx_t src = perm[i];
     double* yi = y + static_cast<std::size_t>(i) * nrhs;
-    for (idx_t r = 0; r < nrhs; ++r) yi[r] = b[static_cast<std::size_t>(r) * n_ + src];
+    for (idx_t r = 0; r < nrhs; ++r) yi[r] = rhs(r)[src];
   }
-  supernodal_forward_solve(snf_, y, nrhs);
-  supernodal_backward_solve(snf_, y, nrhs);
-  for (idx_t i = 0; i < n_; ++i) {
-    const idx_t dst = perm_.perm[i];
+  supernodal_forward_solve(snf, y, nrhs);
+  supernodal_backward_solve(snf, y, nrhs);
+  for (idx_t i = 0; i < n; ++i) {
+    const idx_t dst = perm[i];
     const double* yi = y + static_cast<std::size_t>(i) * nrhs;
-    for (idx_t r = 0; r < nrhs; ++r) x[static_cast<std::size_t>(r) * n_ + dst] = yi[r];
+    for (idx_t r = 0; r < nrhs; ++r) sol(r)[dst] = yi[r];
   }
+}
+
+}  // namespace
+
+std::vector<Vec> SparseCholesky::solve_multi(const std::vector<Vec>& cases) const {
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    assert(static_cast<idx_t>(cases[c].size()) == n_);
+  }
+  std::vector<Vec> solutions(cases.size(), Vec(static_cast<std::size_t>(n_)));
+  Vec work;
+  panel_solve(
+      perm_.perm, snf_, static_cast<idx_t>(cases.size()), work,
+      [&cases](idx_t r) { return cases[static_cast<std::size_t>(r)].data(); },
+      [&solutions](idx_t r) { return solutions[static_cast<std::size_t>(r)].data(); });
+  return solutions;
+}
+
+void SparseCholesky::solve_multi(const double* b, double* x, idx_t nrhs, Vec& work) const {
+  const std::size_t n = static_cast<std::size_t>(n_);
+  panel_solve(
+      perm_.perm, snf_, nrhs, work, [b, n](idx_t r) { return b + static_cast<std::size_t>(r) * n; },
+      [x, n](idx_t r) { return x + static_cast<std::size_t>(r) * n; });
 }
 
 offset_t SparseCholesky::factor_nnz() const { return snf_.factor_nnz(); }

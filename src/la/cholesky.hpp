@@ -45,8 +45,10 @@ class SparseCholesky {
   /// Convenience: solve A x = b with its own scratch.
   [[nodiscard]] Vec solve(const Vec& b) const;
 
-  /// Convenience: pack separate right-hand sides into one panel, solve, and
-  /// unpack — one solution per input case.
+  /// Convenience: solve separate right-hand sides as one panel, one solution
+  /// per input case. Cases are gathered straight into the solve scratch and
+  /// solutions scattered straight out of it (the same kernels as above,
+  /// bitwise equal per column).
   [[nodiscard]] std::vector<Vec> solve_multi(const std::vector<Vec>& cases) const;
 
   [[nodiscard]] idx_t order() const { return n_; }

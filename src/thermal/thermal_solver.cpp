@@ -70,13 +70,6 @@ fem::FactorSpec factor_spec(const ThermalSolveOptions& options, const char* stag
 
 }  // namespace
 
-TemperatureField solve_power_map(const mesh::HexMesh& mesh, const Vec& conductivity_per_elem,
-                                 const PowerMap& power, const ThermalSolveOptions& options,
-                                 ThermalSolveStats* stats) {
-  return solve_power_map(mesh, ConductivityField{conductivity_per_elem, conductivity_per_elem},
-                         power, options, stats);
-}
-
 TemperatureField solve_power_map(const mesh::HexMesh& mesh, const ConductivityField& conductivity,
                                  const PowerMap& power, const ThermalSolveOptions& options,
                                  ThermalSolveStats* stats) {
@@ -139,13 +132,6 @@ TemperatureField solve_power_map(const mesh::HexMesh& mesh, const ConductivityFi
   publish_steady_stats(local);
   if (stats != nullptr) *stats = local;
   return TemperatureField(mesh, std::move(t.front()));
-}
-
-TemperatureField solve_power_map(const mesh::HexMesh& mesh, const fem::MaterialTable& materials,
-                                 const PowerMap& power, const ThermalSolveOptions& options,
-                                 ThermalSolveStats* stats) {
-  return solve_power_map(mesh, conductivities_from_materials(mesh, materials), power, options,
-                         stats);
 }
 
 ThetaScheme parse_theta_scheme(const std::string& name) {
@@ -387,28 +373,6 @@ TransientTemperatureResult solve_power_trace(const mesh::HexMesh& mesh,
 
   result.final_field = TemperatureField(mesh, std::move(t));
   return result;
-}
-
-TransientTemperatureResult solve_power_trace(const mesh::HexMesh& mesh,
-                                             const Vec& conductivity_per_elem,
-                                             const Vec& capacity_per_elem,
-                                             const PowerTrace& trace,
-                                             const BlockReduction& reduction,
-                                             const TransientSolveOptions& options,
-                                             TransientSolveStats* stats) {
-  return solve_power_trace(mesh, ConductivityField{conductivity_per_elem, conductivity_per_elem},
-                           capacity_per_elem, trace, reduction, options, stats);
-}
-
-TransientTemperatureResult solve_power_trace(const mesh::HexMesh& mesh,
-                                             const fem::MaterialTable& materials,
-                                             const PowerTrace& trace,
-                                             const BlockReduction& reduction,
-                                             const TransientSolveOptions& options,
-                                             TransientSolveStats* stats) {
-  return solve_power_trace(mesh, conductivities_from_materials(mesh, materials),
-                           capacities_from_materials(mesh, materials), trace, reduction, options,
-                           stats);
 }
 
 mesh::HexMesh build_array_thermal_mesh(const mesh::TsvGeometry& geometry, int blocks_x,

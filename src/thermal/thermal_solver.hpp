@@ -66,20 +66,11 @@ struct ThermalSolveStats : fem::SolveStats {
   [[nodiscard]] double total_seconds() const { return assemble_seconds + solve_seconds; }
 };
 
-/// Solve conduction on `mesh` with per-element conductivities and the power
-/// map applied on the z-max face. Returns the nodal temperature field [C].
-TemperatureField solve_power_map(const mesh::HexMesh& mesh, const Vec& conductivity_per_elem,
-                                 const PowerMap& power, const ThermalSolveOptions& options = {},
-                                 ThermalSolveStats* stats = nullptr);
-
-/// Orthotropic variant: per-element in-plane (x = y) and through-plane (z)
-/// conductivities (the TSV-aware effective block model).
+/// Solve conduction on `mesh` with per-element in-plane (x = y) and
+/// through-plane (z) conductivities and the power map applied on the z-max
+/// face. Returns the nodal temperature field [C]. An isotropic field is
+/// ConductivityField{k, k}, e.g. with k from conductivities_from_materials.
 TemperatureField solve_power_map(const mesh::HexMesh& mesh, const ConductivityField& conductivity,
-                                 const PowerMap& power, const ThermalSolveOptions& options = {},
-                                 ThermalSolveStats* stats = nullptr);
-
-/// Same, with conductivities from the material table.
-TemperatureField solve_power_map(const mesh::HexMesh& mesh, const fem::MaterialTable& materials,
                                  const PowerMap& power, const ThermalSolveOptions& options = {},
                                  ThermalSolveStats* stats = nullptr);
 
@@ -149,26 +140,11 @@ struct BlockReduction {
 /// plus its peak envelope. Heat enters at the z-max face per the trace; the
 /// sink boundary follows options.base exactly like the steady solver. The
 /// factorization of M/Δt + θK is computed once and reused for every step.
+/// Conductivities and per-element heat capacities are passed as for the
+/// steady solve (capacities_from_materials gives the material table's).
 TransientTemperatureResult solve_power_trace(const mesh::HexMesh& mesh,
                                              const ConductivityField& conductivity,
                                              const Vec& capacity_per_elem,
-                                             const PowerTrace& trace,
-                                             const BlockReduction& reduction,
-                                             const TransientSolveOptions& options = {},
-                                             TransientSolveStats* stats = nullptr);
-
-/// Isotropic variant (one conductivity per element).
-TransientTemperatureResult solve_power_trace(const mesh::HexMesh& mesh,
-                                             const Vec& conductivity_per_elem,
-                                             const Vec& capacity_per_elem,
-                                             const PowerTrace& trace,
-                                             const BlockReduction& reduction,
-                                             const TransientSolveOptions& options = {},
-                                             TransientSolveStats* stats = nullptr);
-
-/// Same, with conductivities and heat capacities from the material table.
-TransientTemperatureResult solve_power_trace(const mesh::HexMesh& mesh,
-                                             const fem::MaterialTable& materials,
                                              const PowerTrace& trace,
                                              const BlockReduction& reduction,
                                              const TransientSolveOptions& options = {},

@@ -145,8 +145,11 @@ TEST(Solver, UnknownMethodThrows) {
   thermal::ThermalSolveOptions thermal_options;
   thermal_options.method = "multigrid";
   expect_rejected(
-      [&] { (void)thermal::solve_power_map(m, table, thermal::PowerMap(1, 1, 1.0, 1.0, 1.0),
-                                           thermal_options); },
+      [&] {
+        const la::Vec k = thermal::conductivities_from_materials(m, table);
+        (void)thermal::solve_power_map(m, {k, k}, thermal::PowerMap(1, 1, 1.0, 1.0, 1.0),
+                                       thermal_options);
+      },
       methods);
 
   const auto global_problem = [] {

@@ -14,12 +14,14 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "chiplet/package_model.hpp"
 #include "core/cancel.hpp"
 #include "core/sim_error.hpp"
 #include "core/simulator.hpp"
+#include "la/factor_cache.hpp"
 #include "sweep/scenario_result.hpp"
 #include "sweep/scenario_spec.hpp"
 
@@ -129,6 +131,56 @@ TEST(SimulateSpec, ArrayTransientMatchesLegacyWithSnapshots) {
   ASSERT_EQ(expected.snapshots.size(), 2u);
   for (std::size_t i = 0; i < expected.snapshots.size(); ++i) {
     expect_bitwise(result.transient_array->snapshots[i], expected.snapshots[i]);
+  }
+}
+
+TEST(SimulateSpec, TransientSnapshotsMatchSteadyQueriesOfTheirSteps) {
+  // The envelope and the snapshots solve as one panel whose extra solutions
+  // are reconstructed against their own loads. Snapshot k must equal a
+  // steady query at recorded step k's ΔT on the same simulator, so any
+  // mismatch between an extra solution and its load shows here, on the CG
+  // path, on the direct path, and on the direct path through a factor cache.
+  struct Path {
+    const char* method;
+    bool cached;
+  };
+  for (const Path path : {Path{"cg", false}, Path{"direct", false}, Path{"direct", true}}) {
+    SCOPED_TRACE(std::string(path.method) + (path.cached ? " + factor cache" : ""));
+    core::SimulationConfig config = small_config();
+    config.global.method = path.method;
+    core::MoreStressSimulator sim(config);
+    la::FactorCache cache;
+    if (path.cached) sim.set_factor_cache(&cache);
+
+    ScenarioSpec spec;
+    spec.analysis = AnalysisKind::kTransient;
+    spec.load = LoadKind::kTrace;
+    spec.blocks_x = 3;
+    spec.blocks_y = 2;
+    spec.power.background = 30.0;
+    spec.power.hotspot_peak = 200.0;
+    spec.trace.period = 6e-5;
+    spec.trace.duty = 0.5;
+    spec.trace.cycles = 1;
+    spec.snapshot_steps = {0, 2, 3};
+    const ScenarioResult result = sim.simulate(spec);
+    ASSERT_NE(result.transient_array, nullptr);
+    const core::ThermalTransientArrayResult& transient = *result.transient_array;
+    ASSERT_EQ(transient.snapshots.size(), spec.snapshot_steps.size());
+
+    for (std::size_t k = 0; k < spec.snapshot_steps.size(); ++k) {
+      const thermal::TransientTemperatureResult& t = transient.transient;
+      ScenarioSpec steady;
+      steady.blocks_x = spec.blocks_x;
+      steady.blocks_y = spec.blocks_y;
+      steady.load_field = std::make_shared<rom::BlockLoadField>(
+          t.blocks_x, t.blocks_y,
+          la::Vec(t.block_delta_t[static_cast<std::size_t>(spec.snapshot_steps[k])]));
+      const ScenarioResult expected = sim.simulate(steady);
+      ASSERT_NE(expected.array, nullptr);
+      SCOPED_TRACE("snapshot " + std::to_string(k));
+      expect_bitwise(transient.snapshots[k], *expected.array);
+    }
   }
 }
 

@@ -83,7 +83,8 @@ TEST(ConductionSlab, MatchesAnalytic1dProfileWithIdealSink) {
   ThermalSolveOptions options;
   options.method = "direct";
   options.ambient = ambient;
-  const TemperatureField field = solve_power_map(mesh, conductivities, power, options);
+  const TemperatureField field =
+      solve_power_map(mesh, {conductivities, conductivities}, power, options);
 
   const double slope = (q_mm2 * kPerMm2ToPerUm2) / (k * kMicro);  // K per um
   for (idx_t node = 0; node < mesh.num_nodes(); ++node) {
@@ -104,7 +105,8 @@ TEST(ConductionSlab, ConvectiveSinkAddsFilmResistance) {
   options.method = "direct";
   options.ambient = ambient;
   options.sink_film_coefficient = film;
-  const TemperatureField field = solve_power_map(mesh, conductivities, power, options);
+  const TemperatureField field =
+      solve_power_map(mesh, {conductivities, conductivities}, power, options);
 
   const double q_um2 = q_mm2 * kPerMm2ToPerUm2;
   const double t0 = ambient + q_um2 / (film * kMicro * kMicro);
@@ -126,8 +128,8 @@ TEST(ConductionSlab, CgAndDirectAgree) {
   ThermalSolveOptions cg;
   cg.method = "cg";
   cg.rel_tol = 1e-12;
-  const TemperatureField a = solve_power_map(mesh, conductivities, power, direct);
-  const TemperatureField b = solve_power_map(mesh, conductivities, power, cg);
+  const TemperatureField a = solve_power_map(mesh, {conductivities, conductivities}, power, direct);
+  const TemperatureField b = solve_power_map(mesh, {conductivities, conductivities}, power, cg);
   for (std::size_t i = 0; i < a.nodal().size(); ++i) {
     EXPECT_NEAR(a.nodal()[i], b.nodal()[i], 1e-6);
   }

@@ -47,7 +47,7 @@ TEST(TransientConduction, ConstantTraceRelaxesToSteadyState) {
 
   ThermalSolveOptions steady_options;
   steady_options.method = "direct";
-  const TemperatureField steady = solve_power_map(mesh, k, power, steady_options);
+  const TemperatureField steady = solve_power_map(mesh, {k, k}, power, steady_options);
 
   // Die thermal time constant tau ~ c L^2 / k ~ 3e-5 s; 80 backward-Euler
   // steps of 1e-4 s damp the slowest transient mode by far below 1e-8.
@@ -60,7 +60,7 @@ TEST(TransientConduction, ConstantTraceRelaxesToSteadyState) {
   reduction.pitch = 30.0;
   TransientSolveStats stats;
   const TransientTemperatureResult result =
-      solve_power_trace(mesh, k, c, PowerTrace::constant(power, 80e-4), reduction, options,
+      solve_power_trace(mesh, {k, k}, c, PowerTrace::constant(power, 80e-4), reduction, options,
                         &stats);
 
   EXPECT_EQ(stats.num_steps, 80);
@@ -76,7 +76,7 @@ TEST(TransientConduction, ConsistentCapacitanceAlsoRelaxesToSteadyState) {
 
   ThermalSolveOptions steady_options;
   steady_options.method = "direct";
-  const TemperatureField steady = solve_power_map(mesh, k, power, steady_options);
+  const TemperatureField steady = solve_power_map(mesh, {k, k}, power, steady_options);
 
   TransientSolveOptions options;
   options.time_step = 1e-4;
@@ -86,7 +86,7 @@ TEST(TransientConduction, ConsistentCapacitanceAlsoRelaxesToSteadyState) {
   reduction.blocks_x = reduction.blocks_y = 1;
   reduction.pitch = 30.0;
   const TransientTemperatureResult result =
-      solve_power_trace(mesh, k, c, PowerTrace::constant(power, 1.0), reduction, options);
+      solve_power_trace(mesh, {k, k}, c, PowerTrace::constant(power, 1.0), reduction, options);
   EXPECT_LT(max_rel_diff(result.final_field.nodal(), steady.nodal()), 1e-8);
 }
 
@@ -118,7 +118,7 @@ struct RcCase {
     reduction.pitch = 10.0;
     reduction.reference = reference;
     PowerMap off(1, 1, 10.0, 10.0, 0.0);
-    return solve_power_trace(mesh, k, c, PowerTrace::constant(off, dt * steps), reduction,
+    return solve_power_trace(mesh, {k, k}, c, PowerTrace::constant(off, dt * steps), reduction,
                              options);
   }
 
@@ -191,7 +191,7 @@ TEST(TransientConduction, PeakEnvelopeDominatesEveryRecordedState) {
   reduction.pitch = 10.0;
   reduction.reference = 25.0;
   const TransientTemperatureResult result =
-      solve_power_trace(mesh, k, c, trace, reduction, options);
+      solve_power_trace(mesh, {k, k}, c, trace, reduction, options);
 
   ASSERT_EQ(result.peak_envelope.size(), 9u);
   for (const auto& blocks : result.block_delta_t) {
@@ -221,17 +221,17 @@ TEST(TransientConduction, RejectsBadOptions) {
   EXPECT_THROW(parse_theta_scheme("forward-euler"), std::invalid_argument);
   TransientSolveOptions options;
   options.time_step = 0.0;
-  EXPECT_THROW(solve_power_trace(mesh, k, c, trace, reduction, options), std::invalid_argument);
-  options = {};
-  EXPECT_THROW(solve_power_trace(mesh, k, c, PowerTrace(), reduction, options),
+  EXPECT_THROW(solve_power_trace(mesh, {k, k}, c, trace, reduction, options),
                std::invalid_argument);
-  // Zero-conductivity / zero-capacity materials are rejected by the
-  // material-table overload.
+  options = {};
+  EXPECT_THROW(solve_power_trace(mesh, {k, k}, c, PowerTrace(), reduction, options),
+               std::invalid_argument);
+  // A material with no heat capacity is rejected where the per-element
+  // capacities are looked up.
   fem::Material dead = fem::silicon();
   dead.volumetric_heat_capacity = 0.0;
   const fem::MaterialTable materials({dead});
-  EXPECT_THROW(solve_power_trace(mesh, materials, trace, reduction, options),
-               std::invalid_argument);
+  EXPECT_THROW((void)capacities_from_materials(mesh, materials), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Unit tests of tools/bench_gate.py: the gate must fail on a vanished
-timing metric, a vanished value tripwire and a planted slowdown, and pass an
-unchanged run.
+timing metric, a vanished value tripwire, a planted slowdown and a planted
+telemetry overhead, and pass an unchanged run.
 
 Run: python3 -m unittest discover -s tools -p 'test_*.py'
 """
@@ -72,6 +72,21 @@ class BenchGateTest(unittest.TestCase):
         self.assertEqual(code, 1, out)
         self.assertIn("c_seconds", out)
         self.assertIn("REGRESSION", out)
+
+    def test_planted_telemetry_overhead_fails(self):
+        # 20% fully-enabled overhead, 0.2 s of excess above the 0.01 s floor.
+        current = dict(BASE_CASE, telemetry_disabled_seconds=1.0,
+                       telemetry_enabled_seconds=1.2, telemetry_overhead_ratio=1.2)
+        code, out = self.gate(current)
+        self.assertEqual(code, 1, out)
+        self.assertIn("telemetry_overhead_ratio 1.200 exceeds", out)
+
+    def test_no_telemetry_overhead_passes(self):
+        current = dict(BASE_CASE, telemetry_disabled_seconds=1.0,
+                       telemetry_enabled_seconds=1.0, telemetry_overhead_ratio=1.0)
+        code, out = self.gate(current)
+        self.assertEqual(code, 0, out)
+        self.assertIn("telemetry overhead: ratio 1.000", out)
 
 
 if __name__ == "__main__":
